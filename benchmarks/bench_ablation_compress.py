@@ -28,7 +28,7 @@ N = 4096
 RULES = ("mr", "ordered")
 
 
-def test_compress_rule_ablation(record_table, record_json, benchmark, engine):
+def test_compress_rule_ablation(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -91,7 +91,7 @@ def test_compress_rule_ablation(record_table, record_json, benchmark, engine):
     assert ordered[4] < mr[4], "ordered rule must cheapen updates"
 
 
-def test_rules_agree_on_msf(record_table, benchmark, engine):
+def test_rules_agree_on_msf(record_table, benchmark):
     def run():
         rng = random.Random(5)
         edges = gnm_edges(512, 2048, rng)
@@ -113,7 +113,7 @@ def test_rules_agree_on_msf(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_wallclock_path_build(benchmark, rule, engine):
+def test_wallclock_path_build(benchmark, rule):
     def build():
         rng = random.Random(7)
         f = DynamicForest(N, seed=7, compress_rule=rule)

@@ -47,7 +47,7 @@ def _local_graph(ell: int, seed: int) -> EdgeArray:
     return EdgeArray.from_tuples(n, rows)
 
 
-def test_kernel_work_comparison(record_table, record_json, benchmark, engine):
+def test_kernel_work_comparison(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -89,14 +89,14 @@ def test_kernel_work_comparison(record_table, record_json, benchmark, engine):
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_wallclock_kernel(benchmark, kernel, engine):
+def test_wallclock_kernel(benchmark, kernel):
     g = _local_graph(2048, seed=5)
     fn = KERNELS[kernel]
     benchmark(lambda: fn(g))
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_wallclock_end_to_end_batch_insert(benchmark, kernel, engine):
+def test_wallclock_end_to_end_batch_insert(benchmark, kernel):
     n = 1024
     rng = random.Random(11)
     m = BatchIncrementalMSF(n, seed=11, kernel=kernel)

@@ -29,7 +29,7 @@ SHAPES = {
 }
 
 
-def test_ternarization_overhead(record_table, record_json, benchmark, engine):
+def test_ternarization_overhead(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -100,7 +100,7 @@ def test_ternarization_overhead(record_table, record_json, benchmark, engine):
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_wallclock_build(benchmark, shape, engine):
+def test_wallclock_build(benchmark, shape):
     gen = SHAPES[shape]
 
     def build():

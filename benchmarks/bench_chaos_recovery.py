@@ -72,18 +72,18 @@ def _stream(rounds):
     )
 
 
-def _factory(engine, cost):
+def _factory(cost):
     def make():
-        return SWConnectivityEager(N, seed=SEED, cost=cost, engine=engine)
+        return SWConnectivityEager(N, seed=SEED, cost=cost)
 
     return make
 
 
-def _recovery_run(backlog, tmp_path, engine, cost):
+def _recovery_run(backlog, tmp_path, cost):
     """Kill a follower ``backlog`` rounds before the end; time its replay."""
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=SNAPSHOT_EVERY)
     with ReplicatedService(
-        _factory(engine, cost), tmp_path / f"rec-{backlog}", cfg, followers=2
+        _factory(cost), tmp_path / f"rec-{backlog}", cfg, followers=2
     ) as svc:
         victim = svc.followers[0]
         for step, b in enumerate(_stream(ROUNDS)):
@@ -103,14 +103,14 @@ def _recovery_run(backlog, tmp_path, engine, cost):
         return wall * 1e3, tip - boot_lsn
 
 
-def _availability_run(tmp_path, engine, cost):
+def _availability_run(tmp_path, cost):
     """Read every round through kill -> degraded outage -> promotion."""
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=0)
     outage = {"attempted": 0, "served": 0, "stale": 0}
     overall = {"attempted": 0, "served": 0, "stale": 0}
     down_rounds = 0
     with ReplicatedService(
-        _factory(engine, cost), tmp_path / "avail", cfg, followers=2
+        _factory(cost), tmp_path / "avail", cfg, followers=2
     ) as svc:
         qs = QueryService(svc, on_primary_down="degrade")
         for step, b in enumerate(_stream(ROUNDS)):
@@ -169,17 +169,15 @@ def _availability_run(tmp_path, engine, cost):
     return overall, outage, down_rounds
 
 
-def test_chaos_recovery(record_table, record_json, benchmark, engine, tmp_path):
+def test_chaos_recovery(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
 
     def run():
         cost = CostModel()
         rec_rows = [
-            _recovery_run(b, tmp_path, engine, cost) for b in BACKLOGS
+            _recovery_run(b, tmp_path, cost) for b in BACKLOGS
         ]
-        overall, outage, down_rounds = _availability_run(
-            tmp_path, engine, cost
-        )
+        overall, outage, down_rounds = _availability_run(tmp_path, cost)
         state.clear()
         state.update(
             cost=cost,

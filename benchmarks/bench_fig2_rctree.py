@@ -15,10 +15,11 @@ from repro.paperdata import FIG2_NAMES, fig2_links
 from repro.runtime import CostModel
 from repro.trees import DynamicForest
 from repro.trees.cluster import ClusterKind
+from tests.helpers import reference_rc
 
 
-def _build(seed: int = 2, engine: str | None = None) -> DynamicForest:
-    f = DynamicForest(len(FIG2_NAMES), seed=seed, cost=CostModel(), engine=engine)
+def _build(seed: int = 2) -> DynamicForest:
+    f = DynamicForest(len(FIG2_NAMES), seed=seed, cost=CostModel())
     f.batch_link(fig2_links())
     return f
 
@@ -58,14 +59,12 @@ def _render_rc_tree(forest: DynamicForest) -> str:
 
 
 def test_regenerate_figure2(record_table, record_json, benchmark):
-    # Pinned to the object engine: the rendering below walks the per-node
-    # cluster graph (vleaf / _dec / ClusterNode children), which only the
-    # reference engine exposes.  The figure itself is engine-independent
-    # -- both engines produce the identical contraction (snapshot-equal),
-    # so there is nothing to A/B here.
-    forest = benchmark.pedantic(
-        lambda: _build(engine="object"), rounds=3, iterations=1
-    )
+    # Built on the RCForest reference: the rendering below walks the
+    # per-node cluster graph (vleaf / _dec / ClusterNode children), which
+    # only the reference exposes.  The production engine builds the
+    # identical contraction (snapshot-equal).
+    with reference_rc():
+        forest = benchmark.pedantic(_build, rounds=3, iterations=1)
     rc, tern = forest.rc, forest.ternary
 
     # Figure 2b: contraction schedule, round by round.
@@ -87,7 +86,7 @@ def test_regenerate_figure2(record_table, record_json, benchmark):
     record_json(
         "fig2_rctree_example",
         forest.cost,
-        params={"n": len(FIG2_NAMES), "seed": 2, "engine": forest.engine},
+        params={"n": len(FIG2_NAMES), "seed": 2},
     )
 
     # Structural validation (the properties the figure illustrates).
@@ -98,5 +97,5 @@ def test_regenerate_figure2(record_table, record_json, benchmark):
     rc.check_invariants()
 
 
-def test_wallclock_build(benchmark, engine):
-    benchmark(lambda: _build(engine=engine))
+def test_wallclock_build(benchmark):
+    benchmark(_build)

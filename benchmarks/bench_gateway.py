@@ -101,11 +101,11 @@ def _spawn_worker(data_dir, fid: int, k: int) -> tuple[subprocess.Popen, str]:
     return proc, f"{host}:{port}"
 
 
-def _run_config(workers: int, tmp_path, engine: str, cost: CostModel):
+def _run_config(workers: int, tmp_path, cost: CostModel):
     """One pass: returns (reads/s, p50 ms, p99 ms, ingest rounds/s)."""
 
     def factory():
-        return SWConnectivityEager(N, seed=13, cost=cost, engine=engine)
+        return SWConnectivityEager(N, seed=13, cost=cost)
 
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=0, fsync=True)
     data_dir = tmp_path / f"gw-{workers}"
@@ -183,7 +183,7 @@ def _run_config(workers: int, tmp_path, engine: str, cost: CostModel):
     )
 
 
-def test_gateway_scaling(record_table, record_json, benchmark, engine, tmp_path):
+def test_gateway_scaling(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
 
     def run():
@@ -191,7 +191,7 @@ def test_gateway_scaling(record_table, record_json, benchmark, engine, tmp_path)
         rows = []
         for k in WORKER_COUNTS:
             passes = [
-                _run_config(k, tmp_path / f"p{i}", engine, cost)
+                _run_config(k, tmp_path / f"p{i}", cost)
                 for i in range(PASSES)
             ]
             # Median per metric across passes: a per-pass tuple would

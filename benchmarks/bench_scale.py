@@ -6,9 +6,9 @@ Two jobs in one harness:
    Algorithm 2) stays usable at n = 16384 with mixed batch sizes, and
    per-edge work stays flat as the structure grows (the amortized claim
    behind "work-efficient").
-2. *Engine comparison*: the object-engine reference and the NumPy array
-   engine consume the *identical* edge stream at every size; the harness
-   asserts their simulated (work, span) match exactly and records the
+2. *Engine comparison*: the ``RCForest`` test reference and the NumPy
+   array engine consume the *identical* edge stream at every size; the
+   harness asserts their simulated (work, span) match exactly and records the
    honest wall-clock/CPU speedup in ``bench_results/scale_end_to_end.json``.
    Rounds are interleaved (engine A, engine B, engine A, ...) and the
    best CPU time per engine is kept, which is the only measurement that
@@ -24,6 +24,7 @@ import time
 from repro.analysis import format_table
 from repro.core import BatchIncrementalMSF
 from repro.runtime import CostModel, measure
+from tests.helpers import rc_engine
 
 SIZES = [4096, 16384]  # n; each run inserts 3n edges
 BATCH_SIZES = [64, 512, 4096]
@@ -35,7 +36,8 @@ def _run_stream(n: int, engine: str):
     structure, its cost model, per-batch per-edge work, and timings."""
     rng = random.Random(2024)
     cost = CostModel()
-    m = BatchIncrementalMSF(n, seed=2024, cost=cost, engine=engine)
+    with rc_engine(engine):
+        m = BatchIncrementalMSF(n, seed=2024, cost=cost)
     phases = []
     inserted = 0
     total = 3 * n

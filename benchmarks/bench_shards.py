@@ -115,13 +115,13 @@ def _stream(
 
 
 def _run_config(
-    k: int, skew_p: float, tmp_path, engine: str, cost: CostModel
+    k: int, skew_p: float, tmp_path, cost: CostModel
 ) -> tuple[float, float]:
     """One pass: returns (ingest rounds/s, read batches/s) at K shards."""
     router = ShardRouter(N, k, scheme=SCHEME)
     rounds, reads = _stream(router, skew_p)
     svc = ShardedService(
-        make_member_factory(N, seed=SEED, engine=engine),
+        make_member_factory(N, seed=SEED),
         tmp_path,
         router,
         ServiceConfig(fsync=False, snapshot_every=0),
@@ -148,7 +148,7 @@ def _run_config(
     return sent / ingest_wall, len(reads) / read_wall
 
 
-def test_shard_scaling(record_table, record_json, benchmark, engine, tmp_path):
+def test_shard_scaling(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
 
     def run():
@@ -166,7 +166,6 @@ def test_shard_scaling(record_table, record_json, benchmark, engine, tmp_path):
                             k,
                             skew_p,
                             tmp_path / f"{stream_name}-k{k}-p{i}",
-                            engine,
                             cost,
                         )
                     )

@@ -46,7 +46,7 @@ def _measure(model: str, ell: int, seed: int) -> float:
     return work / max(inserted, 1), cost
 
 
-def test_table1_row_cyclefree(record_table, record_json, benchmark, engine):
+def test_table1_row_cyclefree(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -77,7 +77,7 @@ def test_table1_row_cyclefree(record_table, record_json, benchmark, engine):
         assert sw < N
 
 
-def test_verdict_tracks_window(record_table, benchmark, engine):
+def test_verdict_tracks_window(record_table, benchmark):
     rng = random.Random(23)
     n = 64
     sw = SWCycleFree(n, seed=23)
@@ -114,7 +114,7 @@ def test_verdict_tracks_window(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [16, 256])
-def test_wallclock_round(benchmark, ell, engine):
+def test_wallclock_round(benchmark, ell):
     rng = random.Random(3)
     sw = SWCycleFree(N, seed=3)
 

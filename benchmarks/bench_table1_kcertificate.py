@@ -48,7 +48,7 @@ def _measure(model: str, k: int, seed: int) -> float:
     return work / max(inserted, 1), cost
 
 
-def test_table1_row_kcertificate(record_table, record_json, benchmark, engine):
+def test_table1_row_kcertificate(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -88,7 +88,7 @@ def test_table1_row_kcertificate(record_table, record_json, benchmark, engine):
     assert data[-1][2] > base_sw
 
 
-def test_certificate_size_bound(record_table, benchmark, engine):
+def test_certificate_size_bound(record_table, benchmark):
     rng = random.Random(3)
     n = 512
 
@@ -116,7 +116,7 @@ def test_certificate_size_bound(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("k", [2, 8])
-def test_wallclock_insert(benchmark, k, engine):
+def test_wallclock_insert(benchmark, k):
     rng = random.Random(8)
     sw = SWKCertificate(N, k=k, seed=8)
 

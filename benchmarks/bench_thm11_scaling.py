@@ -42,7 +42,7 @@ def _measure_batch_work(n: int, ell: int, seed: int) -> tuple[int, int, CostMode
     return c.work, c.span, m.cost
 
 
-def test_work_scaling_matches_bound(record_table, record_json, benchmark, engine):
+def test_work_scaling_matches_bound(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -87,7 +87,7 @@ def test_work_scaling_matches_bound(record_table, record_json, benchmark, engine
     assert fits["l*lg(1+n/l)"] < fits["l*lg(n)"]
 
 
-def test_span_scaling_polylog(record_table, record_json, benchmark, engine):
+def test_span_scaling_polylog(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -121,7 +121,7 @@ def test_span_scaling_polylog(record_table, record_json, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [16, 256, 4096])
-def test_wallclock_batch_insert(benchmark, ell, engine):
+def test_wallclock_batch_insert(benchmark, ell):
     seeds = iter(range(10_000))
 
     def setup():

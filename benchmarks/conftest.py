@@ -9,77 +9,18 @@ prints it (visible with ``pytest -s``) -- and, via ``record_json``, a
 structured ``bench_results/<name>.json`` record (parameters, per-phase
 costs, wall times, git revision; schema in ``docs/observability.md``)
 that ``python -m repro.report --trace`` renders.
-
-Engine A/B mode
----------------
-
-Every driver takes the ``engine`` fixture, which pins the active RC-tree
-engine for the test (argument *and* ``$REPRO_ENGINE``, so engine-agnostic
-constructors follow too).  ``$REPRO_BENCH_ENGINE`` selects what runs:
-
-- unset: one run on the session default (normally ``array``);
-- ``object`` / ``array``: one run on that engine;
-- ``ab`` / ``both``: each driver runs once per engine, back to back.
-
-Artifacts from a non-default engine get an ``__<engine>`` name suffix so
-A/B runs never clobber the canonical records; all records carry
-``params["engine"]``, which ``repro.report --trace`` uses for
-side-by-side comparison.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 from repro.obs.export import record_from_costs, write_record
 from repro.obs.metrics import get_metrics
-from repro.trees.engine import DEFAULT_ENGINE, ENV_VAR, resolve_engine
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
-
-
-def _engine_params() -> list[str]:
-    sel = os.environ.get("REPRO_BENCH_ENGINE", "").strip().lower()
-    if sel in ("ab", "both"):
-        return ["array", "object"]
-    if sel:
-        return [resolve_engine(sel)]
-    return [resolve_engine(None)]
-
-
-def pytest_generate_tests(metafunc):
-    if "engine" in metafunc.fixturenames:
-        metafunc.parametrize("engine", _engine_params(), indirect=True)
-
-
-@pytest.fixture
-def engine(request):
-    """The RC-tree engine this benchmark run measures.
-
-    Sets ``$REPRO_ENGINE`` for the duration of the test so every
-    ``engine=None`` constructor in the driver resolves to the same engine
-    the fixture reports, then restores the prior environment.
-    """
-    name = getattr(request, "param", None) or resolve_engine(None)
-    prev = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = name
-    try:
-        yield name
-    finally:
-        if prev is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prev
-
-
-def _tagged_name(name: str) -> str:
-    """Suffix artifact names with the active engine when it is not the
-    default, so ``REPRO_BENCH_ENGINE=ab`` runs keep both result sets."""
-    active = resolve_engine(None)
-    return name if active == DEFAULT_ENGINE else f"{name}__{active}"
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +28,6 @@ def record_table():
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _record(name: str, text: str) -> None:
-        name = _tagged_name(name)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n[saved to bench_results/{name}.txt]")
 
@@ -104,18 +44,14 @@ def record_json():
     to the recorded total work.  ``params`` should carry the harness
     parameters (n, sweep values, seeds); ``extra`` any derived results
     worth keeping machine-readable (fit residuals, asserted properties).
-    The active engine is stamped into ``params["engine"]`` automatically.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _record(name, costs, params=None, extra=None, wall_s=None):
-        name = _tagged_name(name)
-        params = dict(params or {})
-        params.setdefault("engine", resolve_engine(None))
         rec = record_from_costs(
             name,
             costs,
-            params=params,
+            params=dict(params or {}),
             wall_s=wall_s,
             metrics=get_metrics().as_dict(),
             extra=extra,

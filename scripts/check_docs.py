@@ -17,9 +17,10 @@ under ``src/repro/`` (any ``.py`` file or package whose name does not
 start with ``_``) must be mentioned by dotted name in at least one doc
 page, so new code cannot land undocumented.  ``docs/api_overview.md``
 keeps a module index for exactly this purpose.  The same goes for every
-public ``batch_*`` method on the RC-tree engine seam (both engines plus
-the :class:`DynamicForest` facade): each must be named in at least one
-doc page -- docs/batch_queries.md documents the read kernels.
+public ``batch_*`` method on the RC-tree layer (the production engine,
+the ``RCForest`` reference and the :class:`DynamicForest` facade): each
+must be named in at least one doc page -- docs/batch_queries.md
+documents the read kernels.
 
 The third check is **internal links**: every markdown
 ``[text](target)`` cross-reference in the doc set must resolve — the
@@ -139,11 +140,11 @@ def check_module_coverage(paths: list[pathlib.Path]) -> list[str]:
 
 
 def engine_batch_methods() -> list[str]:
-    """Public ``batch_*`` methods on the RC-tree engine seam.
+    """Public ``batch_*`` methods on the RC-tree layer.
 
-    Collected from both engine classes plus the :class:`DynamicForest`
-    facade, so a batched entry point added to any layer of the read/update
-    path must be named somewhere in the docs.
+    Collected from the production engine, the reference and the
+    :class:`DynamicForest` facade, so a batched entry point added to any
+    layer of the read/update path must be named somewhere in the docs.
     """
     from repro.trees.forest import DynamicForest
     from repro.trees.rcarray import RCArrayForest
@@ -158,7 +159,7 @@ def engine_batch_methods() -> list[str]:
 
 
 def check_batch_method_coverage(paths: list[pathlib.Path]) -> list[str]:
-    """Failure messages for engine-seam ``batch_*`` methods no doc page
+    """Failure messages for RC-tree layer ``batch_*`` methods no doc page
     mentions by name (whole-word match)."""
     corpus = "\n".join(p.read_text() for p in paths if p.exists())
     return [

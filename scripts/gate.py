@@ -5,11 +5,12 @@ Each golden trace under ``bench_results/traces/`` is a committed,
 CRC-checked workload recording (see ``docs/tracing.md``).  One gate run,
 per trace:
 
-1. **Determinism** (hard gate): the trace replays on *both* RC-tree
-   engines into byte-identical final state -- each replay must match the
-   trace oracle, its own fault-free WAL oracle, and the other engine's
-   fingerprint.  Any mismatch fails immediately; this is the
-   correctness half of the gate and has no tolerance band.
+1. **Determinism** (hard gate): the trace replays on both the production
+   RC-tree engine and the ``RCForest`` reference into byte-identical
+   final state -- each replay must match the trace oracle, its own
+   fault-free WAL oracle, and the other engine's fingerprint.  Any
+   mismatch fails immediately; this is the correctness half of the gate
+   and has no tolerance band.
 2. **Performance** (banded gate): write p99 latency and reads/s are
    measured over ``--repeats`` replays (best-of, to shed scheduler
    noise) and compared against the trace's stored baseline
@@ -44,13 +45,11 @@ import random
 import sys
 import tempfile
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.graphgen import bursty_stream  # noqa: E402
 from repro.trace import (  # noqa: E402
-    ReplayConfig,
     TraceReplayer,
     TraceWriter,
     read_trace,
@@ -58,13 +57,12 @@ from repro.trace import (  # noqa: E402
     trace_oracle,
 )
 from repro.trace.replay import factory_from_meta  # noqa: E402
+from tests.helpers import rc_engine  # noqa: E402
 
 BASELINE_SCHEMA = "repro.trace/gate-baseline/v1"
-TRACES_DIR = (
-    pathlib.Path(__file__).resolve().parent.parent
-    / "bench_results"
-    / "traces"
-)
+TRACES_DIR = ROOT / "bench_results" / "traces"
+#: Replay engines (``tests.helpers.rc_engine`` names): the production
+#: engine first -- the perf numbers come from it -- then the reference.
 ENGINES = ("array", "object")
 #: Committed-baseline default bands: wide enough to hold across CI
 #: runner generations, tight enough that a real 10x p99 blowup (or a
@@ -145,7 +143,7 @@ def measure(
 
     ``ok`` covers the determinism gate: every replay byte-identical to
     the trace oracle, its own WAL oracle, and across engines.  The perf
-    numbers are best-of-``repeats`` on the default (array) engine.
+    numbers are best-of-``repeats`` on the production (array) engine.
     """
     meta, events = read_trace(trace_path)
     fingerprints: dict[str, tuple] = {}
@@ -154,12 +152,12 @@ def measure(
     for engine in ENGINES:
         runs = repeats if engine == ENGINES[0] else 1
         for r in range(runs):
-            with tempfile.TemporaryDirectory(prefix="trace-gate-") as tmp:
+            with (
+                tempfile.TemporaryDirectory(prefix="trace-gate-") as tmp,
+                rc_engine(engine),
+            ):
                 result = TraceReplayer(
-                    (meta, events),
-                    factory=factory_from_meta(meta, engine=engine),
-                    config=ReplayConfig(engine=engine),
-                    data_dir=pathlib.Path(tmp) / "replay",
+                    (meta, events), data_dir=pathlib.Path(tmp) / "replay"
                 ).run()
             if result.deterministic is False:
                 return (

@@ -18,16 +18,14 @@ sliding-window stream keeps committing rounds.  After the tape:
 - the p99 per-round wall time must stay under ``--p99-ms`` (resilience
   must not buy correctness with unbounded stalls).
 
-By default the soak runs both RC-tree engines back to back -- identical
-logical state on ``array`` and ``object`` is part of the convergence
-claim.  Prints one JSON summary per run plus a final verdict line; exit
-status 0 only if every run converges inside the budget.
+Prints one JSON summary plus a final verdict line; exit status 0 only
+if the run converges inside the budget.
 
 Usage::
 
     PYTHONPATH=src python scripts/soak.py                # defaults
     PYTHONPATH=src python scripts/soak.py --seed 99 --events 80
-    PYTHONPATH=src python scripts/soak.py --engine array --p99-ms 500
+    PYTHONPATH=src python scripts/soak.py --p99-ms 500
     PYTHONPATH=src python scripts/soak.py --shards 4 --rounds 80
 
 ``--shards K`` (K > 1) switches to the sharded-tier soak: a
@@ -104,12 +102,12 @@ def fingerprint(sw):
     )
 
 
-def soak_once(engine: str, args) -> dict:
-    """One seeded soak on one engine; returns its JSON-ready summary."""
+def soak_once(args) -> dict:
+    """One seeded soak; returns its JSON-ready summary."""
     seeds = seed_family(args.seed)
 
     def factory():
-        return SWConnectivityEager(N, seed=seeds["structure"], engine=engine)
+        return SWConnectivityEager(N, seed=seeds["structure"])
 
     faults = FaultyIO(
         seed=seeds["faults"],
@@ -183,7 +181,6 @@ def soak_once(engine: str, args) -> dict:
             f"p99 step wall {p99_ms:.1f}ms exceeds budget {args.p99_ms}ms"
         )
     return {
-        "engine": engine,
         "seed": args.seed,
         "seeds": seeds,
         "rounds": args.rounds,
@@ -199,7 +196,7 @@ def soak_once(engine: str, args) -> dict:
     }
 
 
-def soak_sharded(engine: str, args) -> dict:
+def soak_sharded(args) -> dict:
     """One seeded sharded soak: K shard groups vs. the unsharded oracle.
 
     A chaos tape of shard-primary kill/promotions plays against a live
@@ -233,16 +230,14 @@ def soak_sharded(engine: str, args) -> dict:
         tmp_path = pathlib.Path(tmp)
         cfg = ServiceConfig(fsync=False, snapshot_every=0)
         svc = ShardedService(
-            make_member_factory(N, seed=seeds["structure"], engine=engine),
+            make_member_factory(N, seed=seeds["structure"]),
             tmp_path / "sharded",
             router,
             cfg,
             followers=args.followers,
         )
         oracle = ReplicatedService(
-            lambda: SWConnectivityEager(
-                N, seed=seeds["structure"], engine=engine
-            ),
+            lambda: SWConnectivityEager(N, seed=seeds["structure"]),
             tmp_path / "oracle",
             cfg,
         )
@@ -286,7 +281,6 @@ def soak_sharded(engine: str, args) -> dict:
             f"p99 step wall {p99_ms:.1f}ms exceeds budget {args.p99_ms}ms"
         )
     return {
-        "engine": engine,
         "mode": f"sharded-k{args.shards}",
         "seed": args.seed,
         "seeds": seeds,
@@ -319,12 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         "--followers", type=int, default=3, help="replica fleet size"
     )
     parser.add_argument(
-        "--engine",
-        choices=["array", "object", "both"],
-        default="both",
-        help="RC-tree engine(s) to soak (default: both)",
-    )
-    parser.add_argument(
         "--p99-ms",
         type=float,
         default=2000.0,
@@ -341,34 +329,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    engines = ["array", "object"] if args.engine == "both" else [args.engine]
-    ok = True
-    for engine in engines:
-        if args.shards > 1:
-            summary = soak_sharded(engine, args)
-        else:
-            summary = soak_once(engine, args)
-        print(json.dumps(summary, sort_keys=False))
-        if not summary["converged"]:
-            # A red soak must be reproducible from the log alone: name
-            # every component seed and the exact command that replays it.
-            print(
-                f"soak FAIL on {engine}: seeds {json.dumps(summary['seeds'])}",
-                file=sys.stderr,
-            )
-            print(
-                "reproduce with: PYTHONPATH=src python scripts/soak.py "
-                f"--seed {args.seed} --events {args.events} "
-                f"--rounds {args.rounds} "
-                f"--primary-kills {args.primary_kills} "
-                f"--followers {args.followers} --engine {engine} "
-                f"--shards {args.shards}",
-                file=sys.stderr,
-            )
-        ok &= summary["converged"]
+    summary = soak_sharded(args) if args.shards > 1 else soak_once(args)
+    print(json.dumps(summary, sort_keys=False))
+    ok = summary["converged"]
+    if not ok:
+        # A red soak must be reproducible from the log alone: name every
+        # component seed and the exact command that replays it.
+        print(f"soak FAIL: seeds {json.dumps(summary['seeds'])}", file=sys.stderr)
+        print(
+            "reproduce with: PYTHONPATH=src python scripts/soak.py "
+            f"--seed {args.seed} --events {args.events} "
+            f"--rounds {args.rounds} "
+            f"--primary-kills {args.primary_kills} "
+            f"--followers {args.followers} "
+            f"--shards {args.shards}",
+            file=sys.stderr,
+        )
     print(
         f"soak {'PASS' if ok else 'FAIL'}: seed {args.seed}, "
-        f"{args.events} events x {len(engines)} engine(s)"
+        f"{args.events} events"
     )
     return 0 if ok else 1
 

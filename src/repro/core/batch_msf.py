@@ -77,10 +77,6 @@ class BatchIncrementalMSF:
             ``"kkt"`` (default; expected linear work), ``"kruskal"``,
             ``"boruvka"``, ``"prim"``, or any callable with the same
             signature.
-        engine: RC-tree engine for the underlying dynamic forest --
-            ``"object"`` or ``"array"``; ``None`` defers to
-            ``$REPRO_ENGINE`` and then the package default
-            (:mod:`repro.trees.engine`).
 
     Edge ids: callers may pass explicit non-negative ids (must be unique
     over the structure's lifetime); otherwise ids are assigned from an
@@ -95,7 +91,6 @@ class BatchIncrementalMSF:
         cost: CostModel | None = None,
         kernel: str | Callable = "kkt",
         compress_rule: str = "mr",
-        engine: str | None = None,
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel()
@@ -108,9 +103,7 @@ class BatchIncrementalMSF:
                 seed=seed,
                 cost=self.cost,
                 compress_rule=compress_rule,
-                engine=engine,
             )
-        self.engine = self.forest.engine
         if callable(kernel):
             self._kernel = kernel
         else:

@@ -35,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=sorted(STRUCTURES))
     parser.add_argument("--n", type=int, required=True, help="vertex count")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", default=None)
     parser.add_argument("--kwargs", default="{}",
                         help="extra structure kwargs as JSON")
     parser.add_argument("--host", default="127.0.0.1")
@@ -60,9 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"bad --kwargs: {exc}", file=sys.stderr)
         return 2
-    factory = build_factory(
-        args.structure, args.n, args.seed, args.engine, extra
-    )
+    factory = build_factory(args.structure, args.n, args.seed, extra)
     data_dir = pathlib.Path(args.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     cfg = ServiceConfig(

@@ -7,7 +7,7 @@ one ingesting primary and N in-process
 :class:`~repro.replication.follower.Follower` replicas that bootstrap
 from the newest checkpoint and tail the WAL from their LSN, replaying
 rounds through the primary's own apply path -- so a caught-up replica is
-byte-identical to the primary on either RC-tree engine.  Failover is
+byte-identical to the primary.  Failover is
 ``promote()``: a monotone *epoch* stamped into every WAL record fences
 the old primary, whose post-promotion appends are rejected on replay.
 

@@ -259,12 +259,12 @@ class StreamService:
         """Recover (or freshly create) a durable service in ``data_dir``.
 
         ``factory`` builds the empty structure -- it must be deterministic
-        and match the one that produced the log (same ``n``, ``seed``,
-        ``engine``).  Recovery loads the newest loadable checkpoint (if
-        any), replays every durable WAL round past it, and returns a
-        service ready for traffic; a torn WAL tail from a crash
-        mid-append is truncated.  Query answers after recovery are
-        byte-identical to a run that never crashed.
+        and match the one that produced the log (same ``n``, ``seed``).
+        Recovery loads the newest loadable checkpoint (if any), replays
+        every durable WAL round past it, and returns a service ready for
+        traffic; a torn WAL tail from a crash mid-append is truncated.
+        Query answers after recovery are byte-identical to a run that
+        never crashed.
         """
         cfg = config if config is not None else ServiceConfig()
         data_dir = pathlib.Path(data_dir)

@@ -77,8 +77,6 @@ from typing import Sequence
 from repro.service.storage import REAL_IO, StorageIO
 
 WAL_SCHEMA = "repro.service/wal/v2"
-#: The pre-replication schema (no epochs, single file); still readable.
-WAL_SCHEMA_V1 = "repro.service/wal/v1"
 
 OP_INSERT = "i"
 OP_EXPIRE = "e"
@@ -133,10 +131,8 @@ def fsync_dir(directory: str | pathlib.Path) -> None:
     REAL_IO.fsync_dir(directory)
 
 
-def _canonical(lsn: int, ops: Sequence[Op], epoch: int | None) -> str:
-    body = [lsn, [list(op) for op in _jsonable(ops)]]
-    if epoch is not None:
-        body = [lsn, epoch, [list(op) for op in _jsonable(ops)]]
+def _canonical(lsn: int, ops: Sequence[Op], epoch: int) -> str:
+    body = [lsn, epoch, [list(op) for op in _jsonable(ops)]]
     return json.dumps(body, separators=(",", ":"))
 
 
@@ -163,17 +159,14 @@ def encode_record(lsn: int, ops: Sequence[Op], epoch: int = 0) -> str:
 
 
 def decode_record(line: str) -> WalRecord | None:
-    """Parse one WAL line; ``None`` when the line is torn or corrupt.
-
-    Accepts both v2 records (with an ``epoch`` field) and v1 records
-    (without; their epoch decodes as 0 and the CRC covers ``[lsn, ops]``).
-    """
+    """Parse one WAL line; ``None`` when the line is torn or corrupt
+    (including a record without an ``epoch`` field)."""
     try:
         doc = json.loads(line)
         lsn = doc["lsn"]
         ops_json = doc["ops"]
         crc = doc["crc"]
-        epoch = doc.get("epoch")
+        epoch = doc["epoch"]
     except (ValueError, KeyError, TypeError):
         return None
     ops: list[Op] = []
@@ -189,7 +182,7 @@ def decode_record(line: str) -> WalRecord | None:
             return None
     if zlib.crc32(_canonical(lsn, ops, epoch).encode("utf-8")) != crc:
         return None
-    return WalRecord(lsn=int(lsn), ops=tuple(ops), epoch=int(epoch or 0))
+    return WalRecord(lsn=int(lsn), ops=tuple(ops), epoch=int(epoch))
 
 
 def _parse_header(line: bytes) -> int | None:
@@ -200,8 +193,6 @@ def _parse_header(line: bytes) -> int | None:
         return None
     if not isinstance(header, dict):
         return None
-    if header.get("wal") == WAL_SCHEMA_V1:
-        return 0
     if header.get("wal") == WAL_SCHEMA:
         start = header.get("start", 0)
         return int(start) if isinstance(start, int) and start >= 0 else None

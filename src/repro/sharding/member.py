@@ -57,7 +57,6 @@ class ShardMember:
     def __init__(self, inner: Any) -> None:
         self.inner = inner
         self.cost = inner.cost
-        self.engine = inner.engine
         self._tw_target = 0  # absolute global window start, accumulated
 
     # -- write protocol (WAL round replay drives these) -----------------
@@ -107,8 +106,8 @@ class ShardMember:
         contains the global MSF (an edge outside its shard-local MSF is
         the heaviest on a cycle there, hence on the same cycle globally),
         so the coordinator recovers exact global answers from these
-        O(window)-size summaries alone.  Sorted by ``eid`` so both
-        RC-tree engines serialize the same bytes.
+        O(window)-size summaries alone.  Sorted by ``eid`` so the bytes
+        do not depend on RC-tree internals.
         """
         return sorted(self.inner._msf.msf_edges(), key=lambda e: e[3])
 
@@ -121,7 +120,6 @@ class ShardMember:
 def make_member_factory(
     n: int,
     seed: int = 0x5EED,
-    engine: str | None = None,
     eager: bool = True,
 ) -> Callable[[], ShardMember]:
     """A deterministic :class:`ShardMember` factory for one shard group.
@@ -133,6 +131,6 @@ def make_member_factory(
     cls = SWConnectivityEager if eager else SWConnectivity
 
     def factory() -> ShardMember:
-        return ShardMember(cls(n, seed=seed, engine=engine))
+        return ShardMember(cls(n, seed=seed))
 
     return factory

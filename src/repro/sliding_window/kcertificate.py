@@ -37,7 +37,6 @@ class SWKCertificate:
         k: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -46,10 +45,9 @@ class SWKCertificate:
         self.cost = cost if cost is not None else CostModel()
         self.clock = WindowClock()
         self._forests = [
-            BatchIncrementalMSF(n, seed=seed + i, cost=self.cost, engine=engine)
+            BatchIncrementalMSF(n, seed=seed + i, cost=self.cost)
             for i in range(k)
         ]
-        self.engine = self._forests[0].engine
         self._d = [Treap(cost=self.cost) for _ in range(k)]
 
     def batch_insert(

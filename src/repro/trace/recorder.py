@@ -58,7 +58,7 @@ class TraceRecorder:
     meta:
         Header metadata for a fresh trace -- record whatever is needed
         to rebuild the recording config (structure factory, ``n``,
-        seed, engine); the replayer and gate read it back.
+        seed); the replayer and gate read it back.
     clock:
         Zero-argument callable returning seconds (monotonic).  Events
         are stamped ``int((clock() - t0) * 1e6)`` microseconds.

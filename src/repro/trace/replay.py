@@ -2,8 +2,8 @@
 
 :class:`TraceReplayer` takes a recorded trace (see
 :mod:`repro.trace.record`) and drives a fresh
-:class:`~repro.replication.replicated.ReplicatedService` -- any engine,
-flush deadline, follower count, retry policy -- through exactly the
+:class:`~repro.replication.replicated.ReplicatedService` -- any flush
+deadline, follower count, retry policy -- through exactly the
 recorded workload: every write event commits as a round, every read
 event re-issues its query batch with the recorded consistency bounds,
 and arrival timestamps advance a seeded :class:`VirtualClock` at
@@ -100,8 +100,6 @@ class ReplayConfig:
     """How to replay a trace (what service to drive, and how fast).
 
     Attributes:
-        engine: RC-tree engine override handed to the factory (``None``:
-            the factory's own default).
         followers: read replicas to attach (0: reads hit the primary,
             which is what makes work/span round-trip comparisons exact).
         service: the primary's :class:`ServiceConfig` (``None``: a
@@ -124,7 +122,6 @@ class ReplayConfig:
             deterministic one).
     """
 
-    engine: str | None = None
     followers: int = 0
     service: ServiceConfig | None = None
     speed: float = 1.0
@@ -215,15 +212,11 @@ def trace_oracle(
     return structure, rounds
 
 
-def factory_from_meta(
-    meta: dict, engine: str | None = None
-) -> Callable[[], Any]:
+def factory_from_meta(meta: dict) -> Callable[[], Any]:
     """Rebuild the recording run's structure factory from trace meta.
 
     Recorders stash ``meta["factory"] = {"structure": <class name in
-    repro.sliding_window>, "n": ..., "seed": ..., "engine": ...}``;
-    ``engine`` here overrides the recorded one (the cross-engine
-    determinism check replays one trace under both).
+    repro.sliding_window>, "n": ..., "seed": ...}``.
     """
     import repro.sliding_window as sliding_window
 
@@ -238,9 +231,6 @@ def factory_from_meta(
     kwargs: dict = {}
     if "seed" in spec:
         kwargs["seed"] = int(spec["seed"])
-    eng = engine if engine is not None else spec.get("engine")
-    if eng is not None:
-        kwargs["engine"] = eng
     return lambda: cls(n, **kwargs)
 
 
@@ -251,8 +241,7 @@ class TraceReplayer:
         trace: path to the ``.trace.jsonl`` file (or an already-read
             ``(meta, events)`` pair).
         factory: structure factory (``None``: rebuilt from the trace
-            meta via :func:`factory_from_meta`, with ``config.engine``
-            applied).
+            meta via :func:`factory_from_meta`).
         config: a :class:`ReplayConfig`; defaults throughout.
         data_dir: WAL/snapshot directory for the replayed service (a
             fresh temp-ish directory per replay; must be empty).
@@ -283,7 +272,7 @@ class TraceReplayer:
             self.meta, self.events = read_trace(trace)
         self.config = config or ReplayConfig()
         if factory is None:
-            factory = factory_from_meta(self.meta, engine=self.config.engine)
+            factory = factory_from_meta(self.meta)
         self.factory = factory
         if data_dir is None:
             raise ValueError(

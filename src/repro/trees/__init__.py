@@ -12,12 +12,11 @@ Blelloch, Dhulipala and Westrick [2] that the paper builds on (Section 2.2):
 - :mod:`repro.trees.rcforest` -- the leveled Miller-Reif contraction
   maintained under batch link/cut by change propagation, exposing the RC
   tree primitives of Section 3 (Boundary / Children / Representative /
-  Weight).
-- :mod:`repro.trees.rcarray` -- a NumPy structure-of-arrays port of the
-  same contraction (identical coin flips, snapshots and cost charges)
-  whose level passes run as vectorized array sweeps; selected via
-  :mod:`repro.trees.engine` (``engine="array"`` is the default,
-  overridable with ``$REPRO_ENGINE``).
+  Weight); the executable reference the tests compare against.
+- :mod:`repro.trees.rcarray` -- the production engine: a NumPy
+  structure-of-arrays port of the same contraction (identical coin
+  flips, snapshots and cost charges) whose level passes run as
+  vectorized array sweeps.
 - :mod:`repro.trees.cpt` -- the compressed path tree (Section 3,
   Algorithm 1), re-exported by :mod:`repro.core` as the paper's key
   ingredient.
@@ -29,13 +28,7 @@ from repro.trees.cluster import ClusterNode, ClusterKind
 from repro.trees.ternary import TernaryForest
 from repro.trees.rcforest import RCForest
 from repro.trees.rcarray import RCArrayForest
-from repro.trees.engine import (
-    ComponentSummary,
-    DEFAULT_ENGINE,
-    ENGINES,
-    make_rc_forest,
-    resolve_engine,
-)
+from repro.trees.batchquery import ComponentSummary
 from repro.trees.forest import DynamicForest
 from repro.trees.cpt import CompressedPathTree, PathAggregate, compressed_path_trees
 
@@ -46,10 +39,6 @@ __all__ = [
     "RCForest",
     "RCArrayForest",
     "ComponentSummary",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "make_rc_forest",
-    "resolve_engine",
     "DynamicForest",
     "CompressedPathTree",
     "PathAggregate",

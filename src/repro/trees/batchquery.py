@@ -18,11 +18,12 @@ vertex pairs in two level-synchronous sweeps over the RC tree:
   answer is the max of the two side aggregates oriented toward
   ``rep(M)``.
 
-Three implementations exist: this module's scalar loops (the object
-engine always, and ``RCArrayForest`` under ``DENSE_THRESHOLD``) and the
-vectorized NumPy sweep in :mod:`repro.trees.rcarray`.  All three must
-return identical answers **and charge identical work/span to identical
-phases** -- the cross-engine differential tests compare per-op charges.
+Three implementations exist: this module's scalar loops (the
+``RCForest`` reference always, and ``RCArrayForest`` under
+``DENSE_THRESHOLD``) and the vectorized NumPy sweep in
+:mod:`repro.trees.rcarray`.  All three must return identical answers
+**and charge identical work/span to identical phases** -- the reference
+differential tests compare per-op charges.
 The contract, which every implementation replicates exactly:
 
 - ``bq-roots``: ``work = 2 l + sum_r |frontier_r| + l`` where
@@ -41,7 +42,7 @@ place.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.runtime.cost import CostModel
 
@@ -51,6 +52,15 @@ from repro.runtime.cost import CostModel
 EMPTY_W = float("-inf")
 EMPTY_E = -(1 << 62)
 _EMPTY = (EMPTY_W, EMPTY_E)
+
+
+class ComponentSummary(NamedTuple):
+    """Root-cluster aggregates of one component (``component_summary``)."""
+
+    sub_verts: int
+    sub_edges: int
+    sub_sum: float
+    diam: tuple[float, int, int]
 
 
 def walk_roots(ad, verts):

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from repro.runtime.cost import CostModel
 from repro.trees.cpt import CompressedPathTree
-from repro.trees.engine import make_rc_forest
+from repro.trees.rcarray import RCArrayForest
 from repro.trees.ternary import TernaryForest
 
 
@@ -26,25 +26,26 @@ class DynamicForest:
     inserts are the responsibility of the MSF layer above).
     """
 
+    #: RC-tree engine class.  Tests swap in the reference
+    #: :class:`~repro.trees.rcforest.RCForest` here to compare the two.
+    _rc_class = RCArrayForest
+
     def __init__(
         self,
         n: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
         compress_rule: str = "mr",
-        engine: str | None = None,
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel(enabled=False)
         self.ternary = TernaryForest(n)
-        self.rc = make_rc_forest(
-            engine,
+        self.rc = self._rc_class(
             vertices=range(n),
             seed=seed,
             cost=self.cost,
             compress_rule=compress_rule,
         )
-        self.engine = self.rc.engine
         self._edge_info: dict[int, tuple[int, int, float]] = {}
 
     # ------------------------------------------------------------------

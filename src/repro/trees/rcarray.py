@@ -1,10 +1,12 @@
 """Array-backed RC forest: a NumPy structure-of-arrays contraction engine.
 
-This is a faithful port of :class:`repro.trees.rcforest.RCForest` (the
-object engine) to flat NumPy storage.  Both engines make the same coin
-flips, run the same per-level decision rules, and maintain the same
-leveled contraction and RC tree -- ``snapshot()`` of the two engines is
-*equal* for the same (edge set, seed), and every operation charges the
+This is the production RC-tree engine behind
+:class:`repro.trees.forest.DynamicForest`: a faithful port of the
+reference :class:`repro.trees.rcforest.RCForest` to flat NumPy storage.
+Both make the same coin flips, run the same per-level decision rules,
+and maintain the same leveled contraction and RC tree -- ``snapshot()``
+of the two is *equal* for the same (edge set, seed), and every
+operation charges the
 same simulated work/span to the same :class:`~repro.runtime.CostModel`
 phases.  What differs is the machine cost: the hot passes (per-level
 decision sweeps, adjacency diff pushes, cluster aggregate rebuilds, CPT
@@ -36,7 +38,7 @@ Small frontiers take a scalar path (Python loops over the same arrays);
 frontiers of at least ``DENSE_THRESHOLD`` vertices take the vectorized
 path.  Both compute identical states and identical cost charges, which
 the differential test suite (``tests/test_engine_differential.py``)
-checks against the object engine.
+checks against the reference, with either path forced.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 from repro.runtime.cost import CostModel, log2ceil
 from repro.runtime.hashing import HashBits
 from repro.trees import batchquery
-from repro.trees.engine import ComponentSummary
+from repro.trees.batchquery import ComponentSummary
 from repro.trees.ternary import InternalLink
 
 _MAX_LEVELS = 4096  # hard safety cap; ~lg n levels are used in practice
@@ -141,8 +143,6 @@ class RCArrayForest:
     difference for callers that only compare identities).
     """
 
-    engine = "array"
-
     #: Frontier/bucket size at which level passes switch from the scalar
     #: loop to the vectorized path.  Both paths are state- and
     #: cost-identical; tests pin this to force either one.
@@ -192,7 +192,7 @@ class RCArrayForest:
         self._nn = 0
         self._alloc_nodes(256)
         self._nkids: list[list[int] | None] = []
-        # Indexes (level-tagged, mirroring the object engine).
+        # Indexes (level-tagged, mirroring RCForest).
         self.eleaf: dict[int, int] = {}
         # Keyed by the packed sorted endpoint pair ``(a << 32) | b``
         # (cheaper to hash than a tuple); values are ``(node, level)``.
@@ -693,11 +693,11 @@ class RCArrayForest:
 
         # Level-0 adjacency edits accumulate in per-vertex neighbour sets
         # and flush back to the sorted rows once per touched vertex -- also
-        # on the error paths, which must leave exactly the object engine's
+        # on the error paths, which must leave exactly RCForest's
         # partially-applied adjacency state.
         cache: dict[int, set[int]] = {}
         # New edge-leaf column writes batch into one scatter (applied in
-        # the ``finally`` so error paths keep object-engine parity: rows
+        # the ``finally`` so error paths keep RCForest parity: rows
         # for every processed link are written, later links never exist).
         lleaf: list[int] = []
         lla: list[int] = []
@@ -1288,7 +1288,7 @@ class RCArrayForest:
     # ------------------------------------------------------------------
 
     def _drain_rebuilds(self) -> None:
-        # The object engine drains a single heap of (top level, vertex),
+        # RCForest drains a single heap of (top level, vertex),
         # deduplicating marks against in-heap entries; marks travel to the
         # contraction level of their target, which is never below the level
         # being processed (stale same-level parents are always already
@@ -1316,8 +1316,8 @@ class RCArrayForest:
     def _drain_release(self, w: int) -> None:
         """Route one rebuild mark raised while draining level ``_dlvl``.
 
-        Future-level marks go to their bucket (sets dedup, matching the
-        object engine's in-heap dedup).  Same-level marks follow the heap
+        Future-level marks go to their bucket (sets dedup, matching
+        RCForest's in-heap dedup).  Same-level marks follow the heap
         semantics: swallowed while the target is still pending, otherwise
         re-enqueued for (re-)execution after the marker.
         """
@@ -1330,7 +1330,7 @@ class RCArrayForest:
 
     def _process_level(self, lvl: int, B: list[int]) -> int:
         """Rebuild one level's pending set with the exact execution
-        multiset of the object engine's heap drain.
+        multiset of RCForest's heap drain.
 
         Same-level rebuilds only read strictly-lower-level cluster state,
         so they commute; and re-executing an already-rebuilt vertex is
@@ -1417,8 +1417,8 @@ class RCArrayForest:
         )
 
     def _rake_fold(self, v: int, kids: list[int]):
-        """Fold the rake group around ``v`` (same order/association as the
-        object engine's ``_rebuild_comp`` loop)."""
+        """Fold the rake group around ``v`` (same order/association as
+        RCForest's ``_rebuild_comp`` loop)."""
         mw, mv = 0.0, v
         gdw, gdx, gdy = 0.0, v, v
         gv, ge, gs = 1, 0, 0.0
@@ -1669,7 +1669,7 @@ class RCArrayForest:
         olds: list[list[int] | None] = [nkids[x] for x in nl0]
         kids_all: list[list[int]] = [[vf] for vf in vleafs]
         # One- and two-raker groups (the overwhelmingly common cases) fold
-        # vectorized below; larger groups replay the object engine's loop.
+        # vectorized below; larger groups replay RCForest's loop.
         single_k: list[int] = []
         single_rw: list[int] = []
         dbl_k: list[int] = []
@@ -1969,8 +1969,8 @@ class RCArrayForest:
         # Children bookkeeping: guarded resets for dropped children first,
         # then parent pointers for the new lists.  Clearing every old child
         # whose parent pointer still names its rebuilt node and then
-        # re-scattering the new lists is order-equivalent to the object
-        # engine's per-vertex interleaving (kept children are restored by
+        # re-scattering the new lists is order-equivalent to
+        # RCForest's per-vertex interleaving (kept children are restored by
         # the scatter; children owned by other nodes fail the guard).
         npar = self._npar
         fo: list[int] = []
@@ -2032,7 +2032,7 @@ class RCArrayForest:
     def compressed_path_trees(self, marked, cost: CostModel | None = None):
         """Compressed path trees of every component containing a marked
         vertex; identical output, phases, and charges as running
-        :func:`repro.trees.cpt.compressed_path_trees` on the object engine.
+        :func:`repro.trees.cpt.compressed_path_trees` on RCForest.
         """
         from repro.trees.cpt import CompressedPathTree, PathAggregate
 
@@ -2275,7 +2275,7 @@ class RCArrayForest:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Canonical contraction snapshot, equal to the object engine's
+        """Canonical contraction snapshot, equal to RCForest's
         ``snapshot()`` for the same (edge set, seed)."""
         levels = []
         for i in range(len(self._Ld)):

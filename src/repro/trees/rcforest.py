@@ -32,6 +32,12 @@ vertex: ``comp[v]`` is formed when ``v`` contracts and contains the vertex
 leaf of ``v``, the edge clusters its contraction consumed, and the unary
 clusters of vertices that previously raked into ``v``.  Binary clusters are
 augmented with the heaviest ``(weight, edge id)`` on their cluster path.
+
+**Role.**  Production code runs :class:`repro.trees.rcarray.RCArrayForest`,
+an array port of this module.  ``RCForest`` is the executable reference
+the tests compare that port against (state, snapshots and cost charges),
+substituted through the private ``DynamicForest._rc_class`` attribute
+(``tests/helpers.py:reference_rc``).
 """
 
 from __future__ import annotations
@@ -137,8 +143,6 @@ class RCForest:
     :meth:`batch_update`, which applies cuts and links in one change
     propagation pass.
     """
-
-    engine = "object"
 
     def __init__(
         self,
@@ -309,11 +313,9 @@ class RCForest:
             raise KeyError(v)
 
     def component_summary(self, v: int):
-        """Root-cluster aggregates of ``v``'s component, engine-neutral."""
-        from repro.trees.engine import ComponentSummary
-
+        """Root-cluster aggregates of ``v``'s component."""
         root = self.root_cluster(v)
-        return ComponentSummary(
+        return batchquery.ComponentSummary(
             root.sub_verts, root.sub_edges, root.sub_sum, root.diam
         )
 

@@ -1,13 +1,35 @@
-"""Shared test utilities: random graph construction and networkx oracles."""
+"""Shared test utilities: random graph construction, networkx oracles,
+and the switch onto the reference RC-tree engine."""
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 
 from repro.msf.graph import EdgeArray
+from repro.trees import DynamicForest, RCForest
+
+
+def reference_rc():
+    """Context manager: every :class:`DynamicForest` built inside the
+    block runs on the reference :class:`RCForest` instead of the
+    production engine (the class attribute is restored on exit)."""
+    return mock.patch.object(DynamicForest, "_rc_class", RCForest)
+
+
+def rc_engine(name: str):
+    """Context manager for a test parametrized over RC engines:
+    ``"object"`` is the :class:`RCForest` reference (:func:`reference_rc`),
+    ``"array"`` the production engine (no substitution)."""
+    if name == "object":
+        return reference_rc()
+    if name == "array":
+        return contextlib.nullcontext()
+    raise ValueError(f"unknown RC engine {name!r}")
 
 
 def random_edge_array(

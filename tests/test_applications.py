@@ -13,6 +13,26 @@ from hypothesis import strategies as st
 from repro.applications import BottleneckPaths, SingleLinkageClustering, WidestPaths
 
 
+def bottleneck_floyd_warshall(n, g):
+    """All-pairs widest-path capacity (max over paths of the min edge
+    ``cap``) by Floyd-Warshall over the (max, min) semiring; ``0.0``
+    where no path exists (capacities are positive)."""
+    best = [[0.0] * n for _ in range(n)]
+    for a, b, cap in g.edges(data="cap"):
+        best[a][b] = best[b][a] = cap
+    for k in range(n):
+        bk = best[k]
+        for i in range(n):
+            bik = best[i][k]
+            if bik:
+                bi = best[i]
+                for j in range(n):
+                    via = min(bik, bk[j])
+                    if via > bi[j]:
+                        bi[j] = via
+    return best
+
+
 def brute_minimax(edges, n, u, v):
     """Minimax path value by thresholding + union-find."""
     if u == v:
@@ -185,17 +205,13 @@ class TestWidestPaths:
                 if not g.has_edge(u, v) or g[u][v]["cap"] < c:
                     g.add_edge(u, v, cap=c)
         wp.batch_insert(batch)
+        widest = bottleneck_floyd_warshall(n, g)
         for u, v in itertools.combinations(range(n), 2):
             got = wp.widest_path(u, v)
             if not nx.has_path(g, u, v):
                 assert got is None
                 continue
-            # Oracle: maximize over paths of the min capacity.
-            expect = max(
-                min(g[a][b]["cap"] for a, b in zip(p, p[1:]))
-                for p in nx.all_simple_paths(g, u, v)
-            )
-            assert got[0] == pytest.approx(expect)
+            assert got[0] == pytest.approx(widest[u][v])
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

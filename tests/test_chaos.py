@@ -8,7 +8,8 @@ is the acceptance soak: a seeded :class:`ChaosSchedule` of >= 50
 adversities (follower kills/restarts, storage fault windows, primary
 kills with failover) played against a live replicated service, after
 which every surviving node must be byte-identical to the fault-free
-oracle replayed from the winning WAL chain -- on both RC-tree engines.
+oracle replayed from the winning WAL chain -- on the production RC-tree
+engine and on the ``RCForest`` reference.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.service import (
 from repro.service.query import QueryService
 from repro.service.wal import WalCorruption
 from repro.sliding_window import SWConnectivityEager
+from tests.helpers import rc_engine
 
 N = 24
 SEED = 13
@@ -48,8 +50,8 @@ OPS = [("i", ((0, 1),))]
 NO_SLEEP = lambda s: None  # noqa: E731
 
 
-def make_sw(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def make_sw():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 def fingerprint(sw):
@@ -505,8 +507,8 @@ class TestChaosSchedule:
 
 
 class TestChaosDriver:
-    def run_tape(self, tmp_path, seed=7, rounds=60, engine=None):
-        factory = lambda: make_sw(engine)  # noqa: E731
+    def run_tape(self, tmp_path, seed=7, rounds=60):
+        factory = make_sw
         faults = FaultyIO(
             seed=seed,
             p_write_error=0.3,
@@ -578,7 +580,11 @@ class TestChaosDriver:
 def test_chaos_soak_converges_on_oracle(tmp_path, engine, seed):
     """>= 50 seeded adversities; every node must match the replay oracle."""
     rounds = 120
-    factory = lambda: make_sw(engine)  # noqa: E731
+
+    def factory():
+        with rc_engine(engine):
+            return make_sw()
+
     faults = FaultyIO(
         seed=seed,
         p_write_error=0.3,
@@ -604,7 +610,8 @@ def test_chaos_soak_converges_on_oracle(tmp_path, engine, seed):
         driver.step(step, rnd.edges, rnd.expire)
     driver.finish()
 
-    oracle, tip = replay_oracle(factory, tmp_path)
+    # The oracle replays on the production engine whichever engine served.
+    oracle, tip = replay_oracle(make_sw, tmp_path)
     want = fingerprint(oracle)
     assert driver.stats["rounds"] == rounds
     assert driver.stats["promotions"] >= 3

@@ -1,11 +1,15 @@
-"""Cross-engine differential tests: object vs array RC-tree engines.
+"""Reference differential tests: the production RC-tree engine vs RCForest.
 
-The array engine (``repro.trees.rcarray``) is required to be *extensionally
-identical* to the object engine: same query answers, same compressed path
+The production engine (``repro.trees.rcarray``) is required to be
+*extensionally identical* to the reference ``RCForest`` (swapped in with
+``tests.helpers.reference_rc``): same query answers, same compressed path
 trees, same maintained MSF, and -- because both charge the simulated cost
 model through the same accounting contract -- the same work/span for every
-operation.  Hypothesis drives both engines through identical random batch
-streams and compares everything after every step.
+operation.  Hypothesis drives the reference and two production instances
+through identical random batch streams and compares everything after
+every step.  At this size the production engine only takes its scalar
+path, so the second instance forces the vectorized path for every level
+pass (``DENSE_THRESHOLD = 0``).
 
 Seeded determinism rides along: a (stream, seed) pair must reproduce
 byte-identical MSF edge ids and phase trees on *both* engines across
@@ -25,7 +29,8 @@ from repro.core import BatchIncrementalMSF
 from repro.msf.graph import EdgeArray
 from repro.msf.kruskal import kruskal_msf
 from repro.runtime import CostModel, measure
-from repro.trees import DynamicForest
+from repro.trees import DynamicForest, RCArrayForest, RCForest
+from tests.helpers import rc_engine, reference_rc
 
 # Small vertex counts + a coarse weight pool force collisions: parallel
 # edges, weight ties (broken by eid), repeated endpoints, self-loops.
@@ -42,12 +47,15 @@ _QUERY_PAIRS = [
 ]
 
 
-def _build_pair(n=N, seed=5):
-    """Fresh (object, array) MSF pair sharing nothing but the seed."""
-    co, ca = CostModel(), CostModel()
-    mo = BatchIncrementalMSF(n, seed=seed, cost=co, engine="object")
-    ma = BatchIncrementalMSF(n, seed=seed, cost=ca, engine="array")
-    return mo, ma, co, ca
+def _build_trio(n=N, seed=5):
+    """Fresh (reference, production, production-dense) MSFs with their
+    cost models, sharing nothing but the seed."""
+    with reference_rc():
+        ref = BatchIncrementalMSF(n, seed=seed, cost=CostModel())
+    arr = BatchIncrementalMSF(n, seed=seed, cost=CostModel())
+    dense = BatchIncrementalMSF(n, seed=seed, cost=CostModel())
+    dense.forest.rc.DENSE_THRESHOLD = 0
+    return ref, arr, dense
 
 
 def _kruskal_edges(n, edges):
@@ -62,7 +70,7 @@ class TestBatchMSFDifferential:
     @given(batches=_BATCHES)
     @settings(deadline=None)
     def test_engines_agree_on_everything(self, batches):
-        mo, ma, co, ca = _build_pair()
+        mo, *prods = _build_trio()
         all_edges = []
         next_eid = 0
         for batch in batches:
@@ -72,44 +80,54 @@ class TestBatchMSFDifferential:
                 next_eid += 1
             all_edges.extend(r for r in rows if r[0] != r[1])
 
-            with measure(co) as op_o:
+            with measure(mo.cost) as op_o:
                 rep_o = mo.batch_insert(rows)
-            with measure(ca) as op_a:
-                rep_a = ma.batch_insert(rows)
-
-            # Identical simulated cost for the *operation*, not just the
-            # running totals (which could mask compensating drift).
-            assert (op_o.work, op_o.span) == (op_a.work, op_a.span)
-
-            # Identical insert reports (inserted / evicted / rejected).
-            assert rep_o.inserted == rep_a.inserted
-            assert rep_o.evicted == rep_a.evicted
-            assert rep_o.rejected == rep_a.rejected
-
-            # Identical MSF edge sets, matching the Kruskal oracle.
             msf_o = mo.msf_edges()
-            assert msf_o == ma.msf_edges()
             assert {e[3] for e in msf_o} == _kruskal_edges(N, all_edges)
+            answers_o = [
+                (mo.connected(u, v), mo.heaviest_edge(u, v))
+                for u, v in _QUERY_PAIRS
+            ]
+            for ma in prods:
+                with measure(ma.cost) as op_a:
+                    rep_a = ma.batch_insert(rows)
 
-            # Point queries agree everywhere sampled.
-            for u, v in _QUERY_PAIRS:
-                assert mo.connected(u, v) == ma.connected(u, v)
-                assert mo.heaviest_edge(u, v) == ma.heaviest_edge(u, v)
-        assert (co.work, co.span) == (ca.work, ca.span)
+                # Identical simulated cost for the *operation*, not just
+                # the running totals (which could mask compensating drift).
+                assert (op_o.work, op_o.span) == (op_a.work, op_a.span)
+
+                # Identical insert reports (inserted / evicted / rejected).
+                assert rep_o.inserted == rep_a.inserted
+                assert rep_o.evicted == rep_a.evicted
+                assert rep_o.rejected == rep_a.rejected
+
+                # Identical MSF edge sets (the reference's match Kruskal)
+                # and identical contractions.
+                assert msf_o == ma.msf_edges()
+                assert mo.forest.rc.snapshot() == ma.forest.rc.snapshot()
+
+                # Point queries agree everywhere sampled.
+                assert answers_o == [
+                    (ma.connected(u, v), ma.heaviest_edge(u, v))
+                    for u, v in _QUERY_PAIRS
+                ]
+        for ma in prods:
+            assert (mo.cost.work, mo.cost.span) == (ma.cost.work, ma.cost.span)
 
     @given(batches=_BATCHES)
     @settings(deadline=None)
     def test_summary_queries_agree(self, batches):
-        mo, ma, _, _ = _build_pair()
-        assert mo.engine == "object"
-        assert ma.engine == "array"
+        mo, *prods = _build_trio()
+        assert type(mo.forest.rc) is RCForest
+        assert all(type(ma.forest.rc) is RCArrayForest for ma in prods)
         for batch in batches:
             rows = [(u, v, w) for u, v, w in batch if u != v]
             mo.batch_insert(rows)
-            ma.batch_insert(rows)
-            assert mo.num_components == ma.num_components
-            assert mo.num_msf_edges == ma.num_msf_edges
-            assert mo.total_weight() == ma.total_weight()
+            for ma in prods:
+                ma.batch_insert(rows)
+                assert mo.num_components == ma.num_components
+                assert mo.num_msf_edges == ma.num_msf_edges
+                assert mo.total_weight() == ma.total_weight()
 
 
 class TestCPTDifferential:
@@ -120,8 +138,10 @@ class TestCPTDifferential:
     )
     @settings(deadline=None)
     def test_compressed_path_trees_identical(self, batches, marks, seed):
-        fo = DynamicForest(N, seed=seed, engine="object")
-        fa = DynamicForest(N, seed=seed, engine="array")
+        with reference_rc():
+            fo = DynamicForest(N, seed=seed)
+        prods = [DynamicForest(N, seed=seed), DynamicForest(N, seed=seed)]
+        prods[1].rc.DENSE_THRESHOLD = 0
         # Union-find over accepted edges keeps every batch a forest batch
         # (links must be acyclic *after* in-batch links too).
         parent = list(range(N))
@@ -143,20 +163,19 @@ class TestCPTDifferential:
                 links.append((u, v, w, next_eid))
                 next_eid += 1
             fo.batch_link(links)
-            fa.batch_link(links)
-
-            co, ca = CostModel(), CostModel()
-            fo.cost = co
-            fa.cost = ca
+            fo.cost = co = CostModel()
             cpt_o = fo.compressed_path_tree(marks)
-            cpt_a = fa.compressed_path_tree(marks)
-            # Same node set, same edge set (with annotations), same
-            # aggregates, same marked set -- and the same charges.
-            assert cpt_o.vertices == cpt_a.vertices
-            assert cpt_o.edges == cpt_a.edges
-            assert cpt_o.aggregates == cpt_a.aggregates
-            assert cpt_o.marked == cpt_a.marked
-            assert (co.work, co.span) == (ca.work, ca.span)
+            for fa in prods:
+                fa.batch_link(links)
+                fa.cost = ca = CostModel()
+                cpt_a = fa.compressed_path_tree(marks)
+                # Same node set, same edge set (with annotations), same
+                # aggregates, same marked set -- and the same charges.
+                assert cpt_o.vertices == cpt_a.vertices
+                assert cpt_o.edges == cpt_a.edges
+                assert cpt_o.aggregates == cpt_a.aggregates
+                assert cpt_o.marked == cpt_a.marked
+                assert (co.work, co.span) == (ca.work, ca.span)
 
 
 def _strip_wall(d):
@@ -188,7 +207,8 @@ class TestSeededDeterminism:
     @classmethod
     def _run(cls, engine, seed):
         cost = CostModel()
-        m = BatchIncrementalMSF(24, seed=seed, cost=cost, engine=engine)
+        with rc_engine(engine):
+            m = BatchIncrementalMSF(24, seed=seed, cost=cost)
         for batch in cls._stream(seed):
             m.batch_insert([(u, v, w) for u, v, w in batch if u != v])
         msf_ids = bytes(
@@ -210,7 +230,7 @@ class TestSeededDeterminism:
             for engine, (r1, r2) in runs.items():
                 assert r1[0] == r2[0], f"{engine} MSF ids differ across runs"
                 assert r1[1] == r2[1], f"{engine} phase tree differs across runs"
-            # And across engines: the array engine replays the object
-            # engine's phases with the same names and the same charges.
+            # And across engines: the production engine replays the
+            # reference's phases with the same names and the same charges.
             assert runs["object"][0] == runs["array"][0]
             assert runs["object"][1] == runs["array"][1]

@@ -4,9 +4,10 @@ and a killed service apply loop must recover to the uninterrupted state.
 Every rejection path is followed by a full invariant check and a
 from-scratch snapshot comparison, proving the failed call was atomic.
 The service section kills the apply loop at *every* WAL offset, at every
-failpoint the commit sequence passes, on both RC-tree engines, and
-requires recovery + resume to answer queries identically to a run that
-never crashed.
+failpoint the commit sequence passes, with the service on the production
+RC-tree engine or on the ``RCForest`` reference, and requires recovery +
+resume to answer queries identically to a production run that never
+crashed.
 """
 
 import random
@@ -18,6 +19,7 @@ from repro.graphgen.streams import bursty_stream
 from repro.service import InjectedCrash, ServiceClosed, ServiceConfig, StreamService
 from repro.sliding_window import SWConnectivityEager
 from repro.trees import DynamicForest
+from tests.helpers import rc_engine
 
 
 def snapshot_state(f: DynamicForest):
@@ -173,8 +175,9 @@ def _svc_fingerprint(sw):
 @pytest.mark.slow
 @pytest.mark.parametrize("engine", ["object", "array"])
 class TestServiceCrashRecovery:
-    def _uninterrupted(self, engine):
-        sw = SWConnectivityEager(SVC_N, seed=SVC_SEED, engine=engine)
+    @staticmethod
+    def _uninterrupted():
+        sw = SWConnectivityEager(SVC_N, seed=SVC_SEED)
         for b in _svc_stream():
             sw.batch_insert(list(b.edges))
             if b.expire:
@@ -185,11 +188,12 @@ class TestServiceCrashRecovery:
         "point", ["before-wal-append", "after-wal-append", "mid-apply", "after-apply"]
     )
     def test_kill_at_every_wal_offset(self, tmp_path, engine, point):
-        expected = _svc_fingerprint(self._uninterrupted(engine))
+        expected = _svc_fingerprint(self._uninterrupted())
         stream = _svc_stream()
 
         def factory():
-            return SWConnectivityEager(SVC_N, seed=SVC_SEED, engine=engine)
+            with rc_engine(engine):
+                return SWConnectivityEager(SVC_N, seed=SVC_SEED)
 
         for crash_lsn in range(SVC_ROUNDS):
             data_dir = tmp_path / f"{point}-{crash_lsn}"
@@ -217,11 +221,12 @@ class TestServiceCrashRecovery:
 
     @pytest.mark.parametrize("point", ["before-snapshot", "after-snapshot"])
     def test_kill_during_snapshot(self, tmp_path, engine, point):
-        expected = _svc_fingerprint(self._uninterrupted(engine))
+        expected = _svc_fingerprint(self._uninterrupted())
         stream = _svc_stream()
 
         def factory():
-            return SWConnectivityEager(SVC_N, seed=SVC_SEED, engine=engine)
+            with rc_engine(engine):
+                return SWConnectivityEager(SVC_N, seed=SVC_SEED)
 
         # With snapshot_every=2 the cadence fires at lsn 1, 3, 5.
         crash_lsn = 3

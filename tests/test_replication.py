@@ -34,14 +34,15 @@ from repro.service.query import (
     UnsupportedQuery,
 )
 from repro.sliding_window import SWConnectivityEager
+from tests.helpers import rc_engine
 
 N = 24
 SEED = 13
 OPS = [("i", ((0, 1),))]  # one minimal insert round for WAL-level tests
 
 
-def make_sw(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def make_sw():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 def fingerprint(sw):
@@ -615,7 +616,7 @@ class TestQueryService:
 
 # ----------------------------------------------------------------------
 # Kill matrix: a follower killed at every replay offset re-tails to
-# byte-identical state, on both engines (the ISSUE acceptance criterion).
+# byte-identical state, on the production engine and the reference.
 # ----------------------------------------------------------------------
 
 KM_ROUNDS = 6
@@ -626,7 +627,8 @@ KM_ROUNDS = 6
 class TestFollowerKillMatrix:
     def test_kill_at_every_replay_offset(self, tmp_path, engine):
         def factory():
-            return make_sw(engine=engine)
+            with rc_engine(engine):
+                return make_sw()
 
         svc = StreamService(
             factory(),

@@ -3,19 +3,22 @@ backpressure, shedding, and the threaded apply loop.
 
 Crash/recovery correctness is covered separately by
 ``tests/test_failure_injection.py`` (kill at every WAL offset) and
-``tests/test_service_recovery.py`` (Hypothesis property, both engines).
+``tests/test_service_recovery.py`` (Hypothesis property).
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 import time
+import zlib
 
 import pytest
 
 from repro.graphgen.streams import EdgeBatch, bursty_stream
 from repro.obs.metrics import get_metrics
 from repro.service import (
+    WAL_SCHEMA,
     Backpressure,
     ServiceClosed,
     ServiceConfig,
@@ -121,6 +124,32 @@ class TestWal:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(WalCorruption):
             read_wal(path)
+
+    def test_v1_header_and_epochless_records_are_rejected(self, tmp_path, capsys):
+        # The pre-replication v1 format (header "repro.service/wal/v1",
+        # records without an epoch whose CRC covers [lsn, ops]) is not
+        # read: a v1 header takes the invalid-header path and an
+        # epoch-less record the torn-record path -- a diagnosis, never a
+        # traceback and never a silently replayed round.
+        from repro.report import main
+        from repro.service.service import WAL_DIRNAME
+
+        ops = [["i", [[0, 1]]]]
+        body = json.dumps([0, ops], separators=(",", ":")).encode()
+        v1_record = json.dumps({"lsn": 0, "ops": ops, "crc": zlib.crc32(body)})
+        assert decode_record(v1_record) is None
+
+        seg = tmp_path / WAL_DIRNAME / "wal-000000000000-000000.jsonl"
+        seg.parent.mkdir()
+        for header, match in (
+            ({"wal": "repro.service/wal/v1"}, "bad WAL header"),
+            ({"wal": WAL_SCHEMA, "start": 0}, "corrupt record"),
+        ):
+            seg.write_text(json.dumps(header) + "\n" + v1_record + "\n")
+            with pytest.raises(WalCorruption, match=match):
+                read_wal(seg)
+            assert main(["--wal", str(tmp_path)]) == 1
+            assert "corrupt WAL" in capsys.readouterr().err
 
     def test_empty_or_missing_log(self, tmp_path):
         assert read_wal(tmp_path / "nope.jsonl") == ([], 0)

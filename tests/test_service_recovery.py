@@ -6,7 +6,8 @@ offset and failpoint, recovers with :meth:`StreamService.open`, finishes
 the run, and then requires the recovered structure to be *byte-identical*
 to a twin that never went through a service at all: same RC-tree
 contraction snapshot, same MSF edge set, same answer to every
-connectivity query.  Both RC-tree engines are exercised.
+connectivity query.  The service runs on the production RC-tree engine
+or on the ``RCForest`` reference; the twin always runs on production.
 
 The replicated twin (``test_replicated_followers_converge``) runs the
 same property against :class:`~repro.replication.ReplicatedService`: a
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from repro.replication import ReplicatedService
 from repro.service import InjectedCrash, ServiceConfig, StreamService
 from repro.sliding_window import SWConnectivityEager
+from tests.helpers import rc_engine
 
 N = 12
 SEED = 0xC0FFEE
@@ -76,9 +78,10 @@ def test_crash_recover_matches_uninterrupted(
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=snapshot_every)
 
     def factory():
-        return SWConnectivityEager(N, seed=SEED, engine=engine)
+        with rc_engine(engine):
+            return SWConnectivityEager(N, seed=SEED)
 
-    twin = SWConnectivityEager(N, seed=SEED, engine=engine)
+    twin = SWConnectivityEager(N, seed=SEED)
     for edges, expire in rounds:
         if edges:
             twin.batch_insert(edges)
@@ -137,9 +140,10 @@ def test_replicated_followers_converge(
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=snapshot_every)
 
     def factory():
-        return SWConnectivityEager(N, seed=SEED, engine=engine)
+        with rc_engine(engine):
+            return SWConnectivityEager(N, seed=SEED)
 
-    twin = SWConnectivityEager(N, seed=SEED, engine=engine)
+    twin = SWConnectivityEager(N, seed=SEED)
     for edges, expire in rounds:
         if edges:
             twin.batch_insert(edges)

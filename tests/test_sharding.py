@@ -5,8 +5,9 @@ answered by :class:`~repro.sharding.sharded.ShardedService` -- composed
 from K shard-local structures through the contracted boundary graph --
 must serialize to exactly the bytes the unsharded
 :class:`~repro.service.query.QueryService` produces for the same stream
-under the same token, on both engines, both partitioning schemes, both
-window structures, and across a mid-stream shard failover.  The unit
+under the same token, with shards on the production RC-tree engine or
+the ``RCForest`` reference, on both partitioning schemes, both window
+structures, and across a mid-stream shard failover.  The unit
 tests around it pin the pieces that make the composition sound: stable
 edge ownership, exact ``partition_skew`` conditioning in the loadgen
 sampler, global-tau replay in the member adapter, and version-cached
@@ -47,6 +48,7 @@ from repro.sliding_window.connectivity import (
     SWConnectivity,
     SWConnectivityEager,
 )
+from tests.helpers import rc_engine
 
 N = 32
 SEED = 13
@@ -283,23 +285,27 @@ def _mixed_batch(sampler, rng, eager):
 
 
 def _drive_differential(
-    tmp_path, *, eager, scheme, k, engine, rounds=30, promote_at=None
+    tmp_path, *, eager, scheme, k, reference=False, rounds=30, promote_at=None
 ):
     """One seeded stream through both tiers, comparing canonical bytes.
 
-    Returns the sharded service (inside the caller's ``with``) so tests
-    can poke at topology afterwards.
+    ``reference`` builds the shard members on the ``RCForest`` reference
+    (the unsharded oracle stays on the production engine).
     """
     cls = SWConnectivityEager if eager else SWConnectivity
     router = ShardRouter(N, k, scheme=scheme)
     oracle = ReplicatedService(
-        lambda: cls(N, seed=SEED, engine=engine),
-        tmp_path / "oracle",
-        svc_config(),
+        lambda: cls(N, seed=SEED), tmp_path / "oracle", svc_config()
     )
     oq = QueryService(oracle)
+    member = make_member_factory(N, seed=SEED, eager=eager)
+
+    def member_factory():
+        with rc_engine("object" if reference else "array"):
+            return member()
+
     svc = ShardedService(
-        make_member_factory(N, seed=SEED, engine=engine, eager=eager),
+        member_factory,
         tmp_path / "sharded",
         router,
         svc_config(),
@@ -331,22 +337,22 @@ def _drive_differential(
 
 
 @pytest.mark.parametrize(
-    ("eager", "scheme", "k", "engine"),
+    ("eager", "scheme", "k", "reference"),
     [
-        (True, "hash", 2, None),
-        (True, "range", 4, "array"),
-        (False, "range", 3, None),
-        (False, "hash", 2, "object"),
-        (True, "hash", 1, None),  # K=1 facade == the unsharded tier
+        (True, "hash", 2, False),
+        (True, "range", 4, False),
+        (False, "range", 3, False),
+        (False, "hash", 2, True),
+        (True, "hash", 1, False),  # K=1 facade == the unsharded tier
     ],
     ids=["eager-hash-k2", "eager-range-k4", "lazy-range-k3",
          "lazy-hash-k2-object", "eager-k1"],
 )
 def test_sharded_answers_match_the_unsharded_oracle(
-    tmp_path, eager, scheme, k, engine
+    tmp_path, eager, scheme, k, reference
 ):
     _drive_differential(
-        tmp_path, eager=eager, scheme=scheme, k=k, engine=engine
+        tmp_path, eager=eager, scheme=scheme, k=k, reference=reference
     )
 
 
@@ -358,7 +364,6 @@ def test_failover_mid_stream_keeps_the_differential(tmp_path):
         eager=True,
         scheme="hash",
         k=3,
-        engine=None,
         promote_at=(12, 1),
     )
 

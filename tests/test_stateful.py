@@ -22,6 +22,7 @@ from repro.msf.graph import EdgeArray
 from repro.msf.kruskal import kruskal_msf
 from repro.sliding_window import SWConnectivityEager
 from repro.trees import DynamicForest
+from tests.helpers import reference_rc
 
 N = 12
 
@@ -159,10 +160,11 @@ class SlidingWindowMachine(RuleBasedStateMachine):
 
 
 class CrossEngineMSFMachine(RuleBasedStateMachine):
-    """Both RC-tree engines driven through identical random MSF streams.
+    """The production RC-tree engine and the ``RCForest`` reference driven
+    through identical random MSF streams.
 
     Every rule applies the same command (``batch_insert`` /
-    ``forget_edges`` / queries) to an object-engine and an array-engine
+    ``forget_edges`` / queries) to a reference and a production
     :class:`BatchIncrementalMSF`; invariants demand the two agree with
     each other, charge identical simulated work/span, and match a Kruskal
     oracle.  The oracle is applied *incrementally* -- ``kruskal_msf`` over
@@ -178,8 +180,9 @@ class CrossEngineMSFMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.obj = BatchIncrementalMSF(N, seed=41, engine="object")
-        self.arr = BatchIncrementalMSF(N, seed=41, engine="array")
+        with reference_rc():
+            self.obj = BatchIncrementalMSF(N, seed=41)
+        self.arr = BatchIncrementalMSF(N, seed=41)
         self.oracle: list[tuple[int, int, float, int]] = []
         self.next_eid = 0
 

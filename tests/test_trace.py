@@ -39,8 +39,8 @@ N = 32
 SEED = 5
 
 
-def make_sw(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def make_sw():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 # ----------------------------------------------------------------------

@@ -125,7 +125,7 @@ class TestGateVerdicts:
 def _record(name: str, phases: list[tuple[str, int, float]], wall=1.0):
     return BenchmarkRecord(
         name=name,
-        params={"engine": "array"},
+        params={},
         phases=[
             {"name": pn, "work": w, "span": 1, "wall_s": ws}
             for pn, w, ws in phases

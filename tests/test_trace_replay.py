@@ -5,8 +5,9 @@ The claims, each pinned here:
 - **Round trip**: a workload recorded from a live replicated pipeline
   (writes with expirations, grouped batch reads with consistency
   tokens) replays into byte-identical final MSF state *and* identical
-  ``(work, span)`` cost charges -- on both RC-tree engines, and across
-  replay speeds (virtual time is data, not a scheduler).
+  ``(work, span)`` cost charges -- on the production RC-tree engine and
+  the ``RCForest`` reference, and across replay speeds (virtual time is
+  data, not a scheduler).
 - **Chaos composition, both directions**: a trace recorded *under* a
   chaos tape (primary kills, follower churn) replays clean against the
   fault-free oracle -- crashed rounds were never durable, retried
@@ -45,13 +46,14 @@ from repro.trace import (
     trace_oracle,
 )
 from repro.trace.replay import factory_from_meta
+from tests.helpers import rc_engine
 
 N = 16
 SEED = 11
 
 
-def factory(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def factory():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 def trace_meta():
@@ -150,13 +152,11 @@ class TestRoundTripProperties:
 
         fps = {}
         for engine in ("array", "object"):
-            result = TraceReplayer(
-                (meta, events),
-                factory=factory_from_meta(meta, engine=engine),
-                config=ReplayConfig(engine=engine),
-                data_dir=tmp_path / f"rp-{engine}-{trace_path.stem}",
-            )
-            res = result.run()
+            with rc_engine(engine):
+                res = TraceReplayer(
+                    (meta, events),
+                    data_dir=tmp_path / f"rp-{engine}-{trace_path.stem}",
+                ).run()
             assert res.deterministic is True, engine
             fps[engine] = res.fingerprint
         assert fps["array"] == fp
@@ -164,7 +164,7 @@ class TestRoundTripProperties:
 
 
 # ----------------------------------------------------------------------
-# Deterministic replay: engines, speeds, charges
+# Deterministic replay: speeds, charges
 # ----------------------------------------------------------------------
 
 
