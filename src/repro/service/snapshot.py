@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from repro.service.storage import REAL_IO, StorageIO
 
-SNAPSHOT_SCHEMA = "repro.service/snapshot/v1"
+SNAPSHOT_SCHEMA = "repro.service/snapshot/v2"
 
 _SNAP_RE = re.compile(r"^snapshot-(\d{12})\.pkl$")
 

@@ -30,9 +30,14 @@ vertex id):
 kind/rep/eid/level/parent plus every augmentation of
 :class:`~repro.trees.cluster.ClusterNode` flattened into parallel
 columns (boundary as ``nb/b0/b1``, path max/sum/count, subtree counts,
-per-boundary farthest-vertex pairs, diameter triple).  Children lists
-stay as Python lists -- they are only walked by CPT expansion and
-snapshots, never by the hot propagation loop.
+per-boundary farthest-vertex pairs, diameter triple).  Children are a
+fixed-width ``kid`` matrix (vertex leaf, raker composites in raker-id
+order, consumed edge clusters; ``-1``-padded).  Cut edge leaves are
+reused by later links, so the table is bounded by the live content.
+
+*Index columns*: the raker-slot matrix ``rk`` (one ``(raker << _LB) |
+level`` entry per vertex raked onto the row's vertex) and the
+``_edge_cluster`` dict, both level-tagged as in RCForest.
 
 Small frontiers take a scalar path (Python loops over the same arrays);
 frontiers of at least ``DENSE_THRESHOLD`` vertices take the vectorized
@@ -44,7 +49,7 @@ checks against the reference, with either path forced.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import Iterable
 
 import numpy as np
@@ -55,7 +60,8 @@ from repro.trees import batchquery
 from repro.trees.batchquery import ComponentSummary
 from repro.trees.ternary import InternalLink
 
-_MAX_LEVELS = 4096  # hard safety cap; ~lg n levels are used in practice
+_LB = 12  # level bits of a raker-slot entry ``(raker << _LB) | level``
+_MAX_LEVELS = 1 << _LB  # hard safety cap; ~lg n levels are used in practice
 _PAD = 1 << 62  # adjacency padding; sorts after every real vertex id
 _NEG = float("-inf")
 
@@ -66,11 +72,51 @@ _KIND_VALUE = ("vertex", "edge", "unary", "binary", "nullary")
 # Decision tags (-1 = no decision recorded).
 _T_STAY, _T_FINAL, _T_RAKE, _T_COMP = 0, 1, 2, 3
 
+# RC-tree node columns as (attribute, ClusterNode default, dtype).
+_NODE_COLS = (
+    ("_nk", 0, np.int8),
+    ("_nrep", -1, np.int64),
+    ("_neid", -1, np.int64),
+    ("_nlevel", 0, np.int64),
+    ("_npar", -1, np.int64),
+    ("_nnb", 0, np.int8),
+    ("_nb0", -1, np.int64),
+    ("_nb1", -1, np.int64),
+    ("_npw", _NEG, np.float64),
+    ("_npe", -1, np.int64),
+    ("_nps", 0.0, np.float64),
+    ("_npc", 0, np.int64),
+    ("_nsv", 0, np.int64),
+    ("_nse", 0, np.int64),
+    ("_nss", 0.0, np.float64),
+    ("_nnm", 0, np.int8),
+    ("_n0w", _NEG, np.float64),
+    ("_n0v", -1, np.int64),
+    ("_n1w", _NEG, np.float64),
+    ("_n1v", -1, np.int64),
+    ("_ndw", _NEG, np.float64),
+    ("_ndx", -1, np.int64),
+    ("_ndy", -1, np.int64),
+    # Oriented binary children of composites (-1 when absent): _ne1 is
+    # the binary child adjacent to nb0, _ne2 the one adjacent to nb1.
+    # Consumed by the batch read kernels; deliberately NOT part of the
+    # parent-visible signature or snapshots (node ids are engine-internal).
+    ("_ne1", -1, np.int64),
+    ("_ne2", -1, np.int64),
+)
+
 _U64 = np.uint64
 _FNV = _U64(0x100000001B3)
 _SM_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SM_M1 = _U64(0xBF58476D1CE4E5B9)
 _SM_M2 = _U64(0x94D049BB133111EB)
+
+
+def _regrow(old: np.ndarray, shape: tuple, fill) -> np.ndarray:
+    """``old`` copied into the top-left corner of a ``fill``-ed array."""
+    arr = np.full(shape, fill, old.dtype)
+    arr[tuple(slice(0, k) for k in old.shape)] = old
+    return arr
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -174,6 +220,12 @@ class RCArrayForest:
         # Reusable scratch for sorted-unique vertex-id merges (always all
         # False between uses); cheaper than np.unique's sort at our sizes.
         self._umask = np.zeros(self._cap, np.bool_)
+        # Raker slots: row ``x`` holds one ``(raker << _LB) | level``
+        # entry per vertex raked onto ``x``, tagged with the level the
+        # rake was applied at (``-1`` = free slot).  Twice the adjacency
+        # width, because mid-propagation a row can hold the old
+        # contraction's rakers beside the new one's.
+        self._rk = np.full((self._cap, 2 * self._width), -1, np.int64)
         self._nreg = 0
         # Leveled contraction state.
         self._Ld = [np.full(self._cap, -1, np.int64)]
@@ -191,13 +243,16 @@ class RCArrayForest:
         self._ncap = 0
         self._nn = 0
         self._alloc_nodes(256)
-        self._nkids: list[list[int] | None] = []
+        # Ids of cut edge leaves, reused by later links (edge leaves are
+        # the only nodes that die; composites are reused per vertex).
+        self._free: list[int] = []
         # Indexes (level-tagged, mirroring RCForest).
         self.eleaf: dict[int, int] = {}
         # Keyed by the packed sorted endpoint pair ``(a << 32) | b``
-        # (cheaper to hash than a tuple); values are ``(node, level)``.
-        self._edge_cluster: dict[int, tuple[int, int]] = {}
-        self._rakes_on: dict[int, dict[int, int]] = {}
+        # (cheaper to hash than a tuple); values are ``(node << _LB) |
+        # level``, the cluster standing for the edge and the level it was
+        # installed at.
+        self._edge_cluster: dict[int, int] = {}
         self._edge_endpoints: dict[int, tuple[int, int]] = {}
         self._edge_attrs: dict[int, tuple[float, int]] = {}
         self._pending_rebuild: set[int] = set()
@@ -215,44 +270,21 @@ class RCArrayForest:
     # ------------------------------------------------------------------
 
     def _alloc_nodes(self, cap: int) -> None:
-        def ext(old, fill, dt):
-            arr = np.full(cap, fill, dt)
-            if old is not None:
-                arr[: len(old)] = old
-            return arr
-
-        g = self.__dict__.get
-        self._nk = ext(g("_nk"), 0, np.int8)
-        self._nrep = ext(g("_nrep"), -1, np.int64)
-        self._neid = ext(g("_neid"), -1, np.int64)
-        self._nlevel = ext(g("_nlevel"), 0, np.int64)
-        self._npar = ext(g("_npar"), -1, np.int64)
-        self._nnb = ext(g("_nnb"), 0, np.int8)
-        self._nb0 = ext(g("_nb0"), -1, np.int64)
-        self._nb1 = ext(g("_nb1"), -1, np.int64)
-        self._npw = ext(g("_npw"), _NEG, np.float64)
-        self._npe = ext(g("_npe"), -1, np.int64)
-        self._nps = ext(g("_nps"), 0.0, np.float64)
-        self._npc = ext(g("_npc"), 0, np.int64)
-        self._nsv = ext(g("_nsv"), 0, np.int64)
-        self._nse = ext(g("_nse"), 0, np.int64)
-        self._nss = ext(g("_nss"), 0.0, np.float64)
-        self._nnm = ext(g("_nnm"), 0, np.int8)
-        self._n0w = ext(g("_n0w"), _NEG, np.float64)
-        self._n0v = ext(g("_n0v"), -1, np.int64)
-        self._n1w = ext(g("_n1w"), _NEG, np.float64)
-        self._n1v = ext(g("_n1v"), -1, np.int64)
-        self._ndw = ext(g("_ndw"), _NEG, np.float64)
-        self._ndx = ext(g("_ndx"), -1, np.int64)
-        self._ndy = ext(g("_ndy"), -1, np.int64)
-        # Oriented binary children of composites (-1 when absent): _ne1
-        # is the binary child adjacent to nb0, _ne2 the one adjacent to
-        # nb1.  Consumed by the batch read kernels; deliberately NOT part
-        # of the parent-visible signature or snapshots (node ids are
-        # engine-internal).
-        self._ne1 = ext(g("_ne1"), -1, np.int64)
-        self._ne2 = ext(g("_ne2"), -1, np.int64)
+        if self._ncap == 0:
+            for name, fill, dt in _NODE_COLS:
+                setattr(self, name, np.full(cap, fill, dt))
+            self._kid = np.full((cap, self._width + 1), -1, np.int64)
+        else:
+            for name, fill, _ in _NODE_COLS:
+                setattr(self, name, _regrow(getattr(self, name), (cap,), fill))
+            self._kid = _regrow(self._kid, (cap, self._kid.shape[1]), -1)
         self._ncap = cap
+
+    def _reset_nodes(self, ids: np.ndarray) -> None:
+        """Restore rows ``ids`` to their ``_alloc_nodes`` defaults."""
+        for name, fill, _ in _NODE_COLS:
+            getattr(self, name)[ids] = fill
+        self._kid[ids] = -1
 
     def _new_node(self, kind: int, rep: int = -1, eid: int = -1) -> int:
         n = self._nn
@@ -263,32 +295,22 @@ class RCArrayForest:
         self._nk[n] = kind
         self._nrep[n] = rep
         self._neid[n] = eid
-        self._nkids.append(None)
         self._nn = n + 1
         return n
 
     def _grow_cap(self, min_id: int) -> None:
         cap = max(2 * self._cap, min_id + 1)
-
-        def ext(old, fill):
-            arr = np.full(cap, fill, old.dtype)
-            arr[: len(old)] = old
-            return arr
-
-        self._vl = ext(self._vl, -1)
-        self._cp = ext(self._cp, -1)
-        self._top = ext(self._top, -1)
-        um = np.zeros(cap, np.bool_)
-        um[: len(self._umask)] = self._umask
-        self._umask = um
+        self._vl = _regrow(self._vl, (cap,), -1)
+        self._cp = _regrow(self._cp, (cap,), -1)
+        self._top = _regrow(self._top, (cap,), -1)
+        self._umask = _regrow(self._umask, (cap,), False)
+        self._rk = _regrow(self._rk, (cap, self._rk.shape[1]), -1)
         for i in range(len(self._Ld)):
-            self._Ld[i] = ext(self._Ld[i], -1)
-            self._Lt[i] = ext(self._Lt[i], -1)
-            self._La[i] = ext(self._La[i], -1)
-            self._Lb[i] = ext(self._Lb[i], -1)
-            nb = np.full((cap, self._width), _PAD, np.int64)
-            nb[: self._cap] = self._Ln[i]
-            self._Ln[i] = nb
+            self._Ld[i] = _regrow(self._Ld[i], (cap,), -1)
+            self._Lt[i] = _regrow(self._Lt[i], (cap,), -1)
+            self._La[i] = _regrow(self._La[i], (cap,), -1)
+            self._Lb[i] = _regrow(self._Lb[i], (cap,), -1)
+            self._Ln[i] = _regrow(self._Ln[i], (cap, self._width), _PAD)
         self._cap = cap
 
     def _ensure_width(self, w: int) -> None:
@@ -299,10 +321,13 @@ class RCArrayForest:
         # too frequent on workloads whose max degree creeps upward.
         width = max(w, 2 * self._width)
         for i in range(len(self._Ln)):
-            nb = np.full((self._cap, width), _PAD, np.int64)
-            nb[:, : self._width] = self._Ln[i]
-            self._Ln[i] = nb
+            self._Ln[i] = _regrow(self._Ln[i], (self._cap, width), _PAD)
         self._width = width
+        # A vertex has at most one child per base neighbour plus its
+        # vertex leaf, and at most ``width`` rakers per contraction (its
+        # raker row holds an old and a new contraction's mid-propagation).
+        self._kid = _regrow(self._kid, (self._ncap, width + 1), -1)
+        self._rk = _regrow(self._rk, (self._cap, 2 * width), -1)
 
     def _ensure_level(self, i: int) -> None:
         while len(self._Ld) <= i:
@@ -345,7 +370,6 @@ class RCArrayForest:
             self._vl[v] = leaf
             self._Ld[0][v] = 0
             self._Lnlive[0] += 1
-            self._rakes_on[v] = {}
             self._nreg += 1
 
     def ensure_vertex(self, v: int) -> bool:
@@ -661,12 +685,8 @@ class RCArrayForest:
 
     def roots(self) -> list[int]:
         """Node ids of all root clusters (diagnostics only)."""
-        out = []
-        for v in np.flatnonzero(self._cp != -1).tolist():
-            n = int(self._cp[v])
-            if self._npar[n] == -1 and self._nkids[n]:
-                out.append(n)
-        return out
+        n = self._cp[self._cp != -1]
+        return n[(self._npar[n] == -1) & (self._kid[n, 0] != -1)].tolist()
 
     # ------------------------------------------------------------------
     # Batch updates
@@ -704,6 +724,8 @@ class RCArrayForest:
         llb: list[int] = []
         llw: list[float] = []
         lle: list[int] = []
+        free = self._free
+        n_fresh = self._nn
 
         def nbrs(v: int) -> set[int]:
             s = cache.get(v)
@@ -722,12 +744,13 @@ class RCArrayForest:
                 nbrs(b).discard(a)
                 p = (a << 32) | b if a < b else (b << 32) | a
                 entry = self._edge_cluster.get(p)
-                if entry is not None and entry[0] == leaf:
+                if entry is not None and entry >> _LB == leaf:
                     del self._edge_cluster[p]
                 pn = int(npar[leaf])
                 if pn != -1:
                     self._mark_rebuild(int(nrep[pn]))
                     npar[leaf] = -1
+                free.append(leaf)
                 del self._edge_endpoints[eid]
                 del self._edge_attrs[eid]
                 dirty.add(a)
@@ -767,23 +790,24 @@ class RCArrayForest:
                     raise ValueError(
                         f"link ({a}, {b}) duplicates a forest edge"
                     )
-                # Inline bump allocation (kind/eid columns are scattered
-                # with the rest of the leaf row in the ``finally`` below).
-                leaf = self._nn
-                if leaf >= self._ncap:
-                    self._alloc_nodes(max(2 * self._ncap, 256))
-                self._nkids.append(None)
-                self._nn = leaf + 1
+                # Reuse a cut leaf's id, else bump-allocate (the row is
+                # written with the rest of the leaf rows in the ``finally``).
+                if free:
+                    leaf = free.pop()
+                else:
+                    leaf = self._nn
+                    if leaf >= self._ncap:
+                        self._alloc_nodes(max(2 * self._ncap, 256))
+                    self._nn = leaf + 1
                 lleaf.append(leaf)
                 lla.append(a)
                 llb.append(b)
                 llw.append(w)
                 lle.append(eid)
                 self.eleaf[eid] = leaf
-                self._edge_cluster[(a << 32) | b if a < b else (b << 32) | a] = (
-                    leaf,
-                    0,
-                )
+                self._edge_cluster[
+                    (a << 32) | b if a < b else (b << 32) | a
+                ] = leaf << _LB
                 self._edge_endpoints[eid] = (a, b)
                 self._edge_attrs[eid] = (w, eid)
                 cache[a].add(b)
@@ -793,6 +817,9 @@ class RCArrayForest:
         finally:
             if lleaf:
                 lf = np.asarray(lleaf, np.int64)
+                reused = lf[lf < n_fresh]
+                if reused.size:
+                    self._reset_nodes(reused)
                 wv = np.asarray(llw)
                 ea = np.asarray(lle, np.int64)
                 self._nk[lf] = _K_EDGE
@@ -877,6 +904,10 @@ class RCArrayForest:
         tw = 0
         ts = 0
         dense_min = self.DENSE_THRESHOLD
+        # Decision changes with index side effects, as (8, k) blocks of
+        # level / vertex / old tag, target, target / new tag, target,
+        # target rows; applied once the levels are settled.
+        moves: list[np.ndarray] = []
         while len(frontier):
             if i >= _MAX_LEVELS:
                 raise RuntimeError("contraction did not converge (cycle in input?)")
@@ -884,14 +915,16 @@ class RCArrayForest:
             if len(frontier) >= dense_min:
                 if isinstance(frontier, set):
                     frontier = np.fromiter(frontier, np.int64, len(frontier))
-                frontier, nc, nt = self._level_dense(i, frontier)
+                frontier, nc, nt = self._level_dense(i, frontier, moves)
             else:
                 if not isinstance(frontier, set):
                     frontier = set(frontier.tolist())
-                frontier, nc, nt = self._level_sparse(i, frontier)
+                frontier, nc, nt = self._level_sparse(i, frontier, moves)
             tw += nc + nt + 1
             ts += log2ceil(max(nc, 2))
             i += 1
+        if moves:
+            self._side_effects(*np.concatenate(moves, axis=1))
 
         # Trim empty trailing levels so num_levels reflects the contraction.
         # The popped blocks are already fully cleared, so they are parked
@@ -917,40 +950,107 @@ class RCArrayForest:
 
     # -- decision side effects (shared by both level paths) ---------------
 
-    def _undo_decision(self, i: int, v: int, ot: int, oa: int, ob: int) -> None:
-        if ot == _T_RAKE:
-            d = self._rakes_on[oa]
-            if d.get(v) == i:
-                del d[v]
-            self._mark_rebuild(oa)
-        elif ot == _T_COMP:
-            p = (oa << 32) | ob
-            node = int(self._cp[v])
-            entry = self._edge_cluster.get(p)
-            if node != -1 and entry is not None and entry == (node, i):
-                del self._edge_cluster[p]
-                pn = int(self._npar[node])
-                if pn != -1:
-                    self._mark_rebuild(int(self._nrep[pn]))
+    def _side_effects(self, lv, vs, ot, oa, ob, nt, na, nb) -> None:
+        """Index side effects of one propagation's decision changes.
 
-    def _apply_decision(self, i: int, v: int, nt: int, na: int, nb: int) -> None:
-        self._top[v] = i
-        self._mark_rebuild(v)
-        if nt == _T_RAKE:
-            self._rakes_on[na][v] = i
-            self._mark_rebuild(na)
-        elif nt == _T_COMP:
-            node = int(self._cp[v])
-            if node == -1:
-                node = self._new_node(_K_BINARY, rep=v)
-                self._cp[v] = node
-            p = (na << 32) | nb
-            old = self._edge_cluster.get(p)
-            if old is not None and old[0] != node:
-                pn = int(self._npar[old[0]])
-                if pn != -1:
-                    self._mark_rebuild(int(self._nrep[pn]))
-            self._edge_cluster[p] = (node, i)
+        Row ``k`` says that vertex ``vs[k]``'s level-``lv[k]`` decision
+        went from ``ot/oa/ob`` to ``nt/na/nb``.  The result equals
+        RCForest's level-by-level, vertex-by-vertex undo-then-apply,
+        computed in two grouped steps: every undo, then every apply.  The
+        level passes never read either index, so the steps can wait for
+        the levels to settle.  A settled contraction rakes or compresses
+        each vertex at one level only, so a propagation undoes at most one
+        old and applies at most one new side effect per vertex, and per
+        endpoint pair (two live compressions over one pair would close a
+        cycle).  The raker slots therefore end up holding the new rakes
+        in any order; the one order-dependent case is a pair compressed in
+        the new contraction below its old level, where the apply comes
+        first and the later undo finds its entry overwritten -- so those
+        undos are dropped.
+        """
+        rk = self._rk
+        pend = self._pending_rebuild
+        und = ot == _T_RAKE
+        if und.any():
+            # Level-tagged: only the entry applied at that level goes.
+            T = oa[und]
+            key = (vs[und] << _LB) | lv[und]
+            r, c = np.nonzero(rk[T] == key[:, None])
+            rk[T[r], c] = -1
+            pend.update(T.tolist())
+        app = nt == _T_RAKE
+        if app.any():
+            T = na[app]
+            V = vs[app]
+            pend.update(T.tolist())
+            key = (V << _LB) | lv[app]
+            hit = (rk[T] >> _LB) == V[:, None]
+            has = hit.any(axis=1)
+            if has.any():  # re-tag a rake applied at another level
+                rk[T[has], hit[has].argmax(axis=1)] = key[has]
+                T, key = T[~has], key[~has]
+            while T.size:
+                # Each entry takes its row's first free slot; of rakers
+                # racing for one slot a single write lands, the rest retry.
+                slot = (rk[T] == -1).argmax(axis=1)
+                rk[T, slot] = key
+                lost = rk[T, slot] != key
+                T, key = T[lost], key[lost]
+
+        ec = self._edge_cluster
+        u = np.flatnonzero(ot == _T_COMP)
+        a = np.flatnonzero(nt == _T_COMP)
+        ku = (oa[u] << 32) | ob[u]
+        ka = (na[a] << 32) | nb[a]
+        if u.size and a.size:
+            o = np.argsort(ka)
+            at = o[np.minimum(np.searchsorted(ka[o], ku), a.size - 1)]
+            late = (ka[at] == ku) & (lv[a][at] < lv[u])
+            u, ku = u[~late], ku[~late]
+        if u.size:
+            node = self._cp[vs[u]]
+            own = node != -1
+            keys = ku[own].tolist()
+            node = node[own]
+            cur = np.fromiter(map(ec.get, keys, repeat(-1)), np.int64, len(keys))
+            hit = cur == (node << _LB) | lv[u][own]
+            if hit.any():
+                for k in compress(keys, hit.tolist()):
+                    del ec[k]
+                self._mark_parents(node[hit])
+        if a.size:
+            va = vs[a]
+            node = self._cp[va]
+            miss = node == -1
+            if miss.any():
+                node[miss] = self._new_composites(va[miss])
+            keys = ka.tolist()
+            old = np.fromiter(map(ec.get, keys, repeat(-1)), np.int64, a.size)
+            stale = (old != -1) & (old >> _LB != node)
+            if stale.any():
+                self._mark_parents(old[stale] >> _LB)
+            ec.update(zip(keys, ((node << _LB) | lv[a]).tolist()))
+
+    def _mark_parents(self, nodes: np.ndarray) -> None:
+        """Mark the reps of the parents of ``nodes`` for rebuild."""
+        pn = self._npar[nodes]
+        self._pending_rebuild.update(self._nrep[pn[pn != -1]].tolist())
+
+    def _new_composites(self, verts: np.ndarray) -> np.ndarray:
+        """Block-allocate composite nodes for ``verts``.  Node ids are
+        purely internal (queries and snapshots only see reps, eids and
+        aggregate values), so block allocation is free to pick different
+        ids than per-vertex ``_new_node`` calls would."""
+        base = self._nn
+        need = base + verts.size
+        while need > self._ncap:
+            self._alloc_nodes(max(2 * self._ncap, 256))
+        ids = np.arange(base, need, dtype=np.int64)
+        self._nk[ids] = _K_BINARY
+        self._nrep[ids] = verts
+        self._cp[verts] = ids
+        self._nn = need
+        return ids
 
     # -- scalar level pass -------------------------------------------------
 
@@ -960,13 +1060,13 @@ class RCArrayForest:
         if d == 0:
             return (_T_FINAL, -1, -1)
         if d == 1:
-            u = int(row[0])
+            u = row.item(0)
             if deg[u] == 1 and v > u:
                 return (_T_STAY, -1, -1)  # two-vertex tree: smaller id rakes
             return (_T_RAKE, u, -1)
         if d == 2:
-            u = int(row[0])
-            w = int(row[1])
+            u = row.item(0)
+            w = row.item(1)
             if deg[u] < 2 or deg[w] < 2:
                 return (_T_STAY, -1, -1)
             bit = self._bits.bit
@@ -983,7 +1083,7 @@ class RCArrayForest:
             return (_T_STAY, -1, -1)
         return (_T_STAY, -1, -1)
 
-    def _level_sparse(self, i: int, frontier: set[int]):
+    def _level_sparse(self, i: int, frontier: set[int], moves: list):
         deg = self._Ld[i]
         nbr = self._Ln[i]
         tag = self._Lt[i]
@@ -994,40 +1094,45 @@ class RCArrayForest:
         cands: set[int] = set()
         for v in frontier:
             cands.add(v)
-            d = int(deg[v])
+            d = deg.item(v)
             if d > 0:
                 cands.update(nbr[v, :d].tolist())
         dec_changed: set[int] = set()
+        sfx: list[tuple[int, ...]] = []
         for v in cands:
-            ot = int(tag[v])
-            d = int(deg[v])
+            ot = tag.item(v)
+            d = deg.item(v)
             if d < 0:
                 nt, na, nb = -1, -1, -1
             else:
                 nt, na, nb = self._decide_scalar(i, v, d)
-            if nt == ot and na == da[v] and nb == db[v]:
+            oa = da.item(v)
+            ob = db.item(v)
+            if nt == ot and na == oa and nb == ob:
                 continue
-            if ot != -1:
-                self._undo_decision(i, v, ot, int(da[v]), int(db[v]))
-            else:
+            if ot == -1:
                 self._Lndec[i] += 1
             if nt == -1:
                 self._Lndec[i] -= 1
             tag[v] = nt
             da[v] = na
             db[v] = nb
+            if ot >= _T_RAKE or nt >= _T_RAKE:
+                sfx.append((i, v, ot, oa, ob, nt, na, nb))
             if nt >= _T_FINAL:
-                self._apply_decision(i, v, nt, na, nb)
-            else:
+                top[v] = i
+                self._mark_rebuild(v)
+            elif top[v] == i:
                 # v no longer contracts here; a higher level will claim it.
-                if top[v] == i:
-                    top[v] = -1
+                top[v] = -1
             dec_changed.add(v)
+        if sfx:
+            moves.append(np.array(sfx, np.int64).T)
 
         touch: set[int] = set()
         for v in frontier | dec_changed:
             touch.add(v)
-            d = int(deg[v])
+            d = deg.item(v)
             if d < 0:
                 continue
             for y in nbr[v, :d].tolist():
@@ -1035,14 +1140,14 @@ class RCArrayForest:
                 if ty == _T_STAY:
                     touch.add(y)
                 elif ty == _T_COMP:
-                    ay = int(da[y])
-                    touch.add(int(db[y]) if ay == v else ay)
+                    ay = da.item(y)
+                    touch.add(db.item(y) if ay == v else ay)
 
         degN = self._Ld[i + 1]
         nbrN = self._Ln[i + 1]
         next_frontier: set[int] = set()
         for x in touch:
-            d = int(deg[x])
+            d = deg.item(x)
             alive = d >= 0 and tag[x] == _T_STAY
             if alive:
                 na_set: set[int] = set()
@@ -1051,9 +1156,9 @@ class RCArrayForest:
                     if ty == _T_STAY:
                         na_set.add(y)
                     elif ty == _T_COMP:
-                        ay = int(da[y])
-                        na_set.add(int(db[y]) if ay == x else ay)
-                dN = int(degN[x])
+                        ay = da.item(y)
+                        na_set.add(db.item(y) if ay == x else ay)
+                dN = degN.item(x)
                 same = dN == len(na_set) and all(
                     y in na_set for y in nbrN[x, :dN].tolist()
                 )
@@ -1076,7 +1181,7 @@ class RCArrayForest:
 
     # -- vectorized level pass ---------------------------------------------
 
-    def _level_dense(self, i: int, F: np.ndarray):
+    def _level_dense(self, i: int, F: np.ndarray, moves: list):
         deg = self._Ld[i]
         nbr = self._Ln[i]
         tag = self._Lt[i]
@@ -1126,19 +1231,16 @@ class RCArrayForest:
                 v2 = PV[idx]
                 u = n0[idx]
                 w = n1[idx]
-                elig = (deg[u] >= 2) & (deg[w] >= 2)
-                elig &= self._bits_vec(v2, i) == 1
+                k = idx.size
+                bits = self._bits_vec(np.concatenate((v2, u, w)), i)
+                bu = bits[k : 2 * k] == 0
+                bw = bits[2 * k :] == 0
+                elig = (deg[u] >= 2) & (deg[w] >= 2) & (bits[:k] == 1)
                 if self.compress_rule == "mr":
-                    ok = (self._bits_vec(u, i) == 0) & (
-                        self._bits_vec(w, i) == 0
-                    )
+                    ok = bu & bw
                 else:
-                    ok = (
-                        ~((u > v2) & (deg[u] == 2))
-                        | (self._bits_vec(u, i) == 0)
-                    ) & (
-                        ~((w > v2) & (deg[w] == 2))
-                        | (self._bits_vec(w, i) == 0)
+                    ok = (~((u > v2) & (deg[u] == 2)) | bu) & (
+                        ~((w > v2) & (deg[w] == 2)) | bw
                     )
                 comp = elig & ok
                 cidx = idx[comp]
@@ -1167,60 +1269,16 @@ class RCArrayForest:
             if clearing.size:
                 sel = clearing[self._top[clearing] == i]
                 self._top[sel] = -1
-            # Dict-index side effects (undo old / apply new) stay scalar.
-            # Only RAKE/COMP transitions have any: restrict the loop to
-            # those rows (STAY/FINAL/absent flips are pure tag scatters).
-            otc = ot[ch]
-            sfx = (otc >= _T_RAKE) | (ntc >= _T_RAKE)
-            vs_l = changed[sfx].tolist()
-            ot_l = otc[sfx].tolist()
-            oa_l = oa[ch][sfx].tolist()
-            ob_l = ob[ch][sfx].tolist()
-            nt_l = ntc[sfx].tolist()
-            na_l = nda[ch][sfx].tolist()
-            nb_l = ndb[ch][sfx].tolist()
-            marks = self._pending_rebuild
-            ro = self._rakes_on
-            ec = self._edge_cluster
-            cp = self._cp
-            npar = self._npar
-            nrep = self._nrep
-            for k, v in enumerate(vs_l):
-                otk = ot_l[k]
-                if otk == _T_RAKE:
-                    tgt = oa_l[k]
-                    dd = ro[tgt]
-                    if dd.get(v) == i:
-                        del dd[v]
-                    marks.add(tgt)
-                elif otk == _T_COMP:
-                    p = (oa_l[k] << 32) | ob_l[k]
-                    node = int(cp[v])
-                    entry = ec.get(p)
-                    if node != -1 and entry is not None and entry == (node, i):
-                        del ec[p]
-                        pn = int(npar[node])
-                        if pn != -1:
-                            marks.add(int(nrep[pn]))
-                ntk = nt_l[k]
-                if ntk == _T_RAKE:
-                    tgt = na_l[k]
-                    ro[tgt][v] = i
-                    marks.add(tgt)
-                elif ntk == _T_COMP:
-                    node = int(cp[v])
-                    if node == -1:
-                        node = self._new_node(_K_BINARY, rep=v)
-                        cp[v] = node
-                        npar = self._npar  # _new_node may reallocate
-                        nrep = self._nrep
-                    p = (na_l[k] << 32) | nb_l[k]
-                    old = ec.get(p)
-                    if old is not None and old[0] != node:
-                        pn = int(npar[old[0]])
-                        if pn != -1:
-                            marks.add(int(nrep[pn]))
-                    ec[p] = (node, i)
+            # Only RAKE/COMP transitions have index side effects
+            # (STAY/FINAL/absent flips are pure tag scatters).
+            sx = np.flatnonzero(ch & ((ot >= _T_RAKE) | (ntag >= _T_RAKE)))
+            if sx.size:
+                moves.append(
+                    np.stack((
+                        np.full(sx.size, i), cands[sx], ot[sx], oa[sx],
+                        ob[sx], ntag[sx], nda[sx], ndb[sx],
+                    ))
+                )
             tag[changed] = ntc
             da[changed] = nda[ch]
             db[changed] = ndb[ch]
@@ -1242,7 +1300,8 @@ class RCArrayForest:
             if cN.any():
                 yc = safe[cN]
                 ow = np.broadcast_to(TP[:, None], rowsT.shape)[cN]
-                parts.append(np.where(da[yc] == ow, db[yc], da[yc]))
+                ay = da[yc]
+                parts.append(np.where(ay == ow, db[yc], ay))
             touch = self._unique_ids(parts)
         else:
             touch = T0 if T0 is F else self._unique_ids((T0,))
@@ -1259,7 +1318,8 @@ class RCArrayForest:
             safe = np.where(valid, rowsA, 0)
             tA = tag[safe]
             ownersA = np.broadcast_to(A[:, None], rowsA.shape)
-            partner = np.where(da[safe] == ownersA, db[safe], da[safe])
+            aA = da[safe]
+            partner = np.where(aA == ownersA, db[safe], aA)
             img = np.where(
                 tA == _T_STAY, safe, np.where(tA == _T_COMP, partner, _PAD)
             )
@@ -1295,14 +1355,13 @@ class RCArrayForest:
         # marked, see tests).  We therefore process levels in ascending
         # order and, within a level, replicate the heap's execution
         # multiset exactly (:meth:`_process_level`).
-        if not self._pending_rebuild:
+        pend = self._pending_rebuild
+        if not pend:
             return
-        top = self._top
         buckets: dict[int, set[int]] = {}
-        for v in self._pending_rebuild:
-            buckets.setdefault(int(top[v]), set()).add(v)
-        self._pending_rebuild.clear()
         self._dbuckets = buckets
+        self._bucket(np.fromiter(pend, np.int64, len(pend)))
+        pend.clear()
         work = 0
         try:
             while buckets:
@@ -1312,6 +1371,18 @@ class RCArrayForest:
             self._dbuckets = None
         if work:
             self.cost.add(work=work)
+
+    def _bucket(self, ws: np.ndarray) -> None:
+        """Add the rebuild marks ``ws`` to their contraction levels'
+        buckets (sets dedup, matching RCForest's in-heap dedup)."""
+        tl = self._top[ws]
+        o = np.argsort(tl, kind="stable")
+        tl = tl[o]
+        wl = ws[o].tolist()
+        cut = (np.flatnonzero(tl[1:] != tl[:-1]) + 1).tolist()
+        get = self._dbuckets.setdefault
+        for lv, lo, hi in zip(tl[[0] + cut].tolist(), [0] + cut, cut + [len(wl)]):
+            get(lv, set()).update(wl[lo:hi])
 
     def _drain_release(self, w: int) -> None:
         """Route one rebuild mark raised while draining level ``_dlvl``.
@@ -1340,23 +1411,24 @@ class RCArrayForest:
         at its position in the sorted execution order.
         """
         self._dlvl = lvl
+        work = 0
+        executed: set[int] = set()
+        by_marker: dict[int, list[int]] | None = None
+        if len(B) >= self.DENSE_THRESHOLD:
+            pairs: list[tuple[int, int]] = []
+            work += self._rebuild_dense(lvl, B, pairs)
+            if not pairs:  # no same-level marks: nothing to replay
+                return work
+            executed.update(B)
+            by_marker = {}
+            for m, t in pairs:
+                by_marker.setdefault(m, []).append(t)
         H: list[int] = []
         in_heap: set[int] = set()
         self._dH = H
         self._din_heap = in_heap
         remaining = set(B)
         self._dremaining = remaining
-        executed: set[int] = set()
-        work = 0
-
-        by_marker: dict[int, list[int]] | None = None
-        if len(B) >= self.DENSE_THRESHOLD:
-            pairs: list[tuple[int, int]] = []
-            work += self._rebuild_dense(lvl, B, pairs)
-            executed.update(B)
-            by_marker = {}
-            for m, t in pairs:
-                by_marker.setdefault(m, []).append(t)
 
         si = 0
         nb = len(B)
@@ -1366,7 +1438,7 @@ class RCArrayForest:
                 in_heap.discard(w)
                 if w in executed:
                     # Idempotent re-execution: charge, no state change.
-                    work += len(self._nkids[int(self._cp[w])])
+                    work += self._num_kids(int(self._cp[w]))
                 else:
                     executed.add(w)
                     work += self._rebuild_scalar(w)
@@ -1384,37 +1456,44 @@ class RCArrayForest:
 
     def _node_sig(self, n: int) -> tuple:
         """The parent-visible signature (mirrors ``_aug_signature``)."""
-        k = int(self._nk[n])
-        nb = int(self._nnb[n])
+        k = self._nk.item(n)
+        nb = self._nnb.item(n)
         if nb == 0:
             bnd: tuple = ()
         elif nb == 1:
-            bnd = (int(self._nb0[n]),)
+            bnd = (self._nb0.item(n),)
         else:
-            bnd = (int(self._nb0[n]), int(self._nb1[n]))
-        nm = int(self._nnm[n])
+            bnd = (self._nb0.item(n), self._nb1.item(n))
+        nm = self._nnm.item(n)
         if nm == 0:
             maxd: tuple = ()
         elif nm == 1:
-            maxd = ((float(self._n0w[n]), int(self._n0v[n])),)
+            maxd = ((self._n0w.item(n), self._n0v.item(n)),)
         else:
             maxd = (
-                (float(self._n0w[n]), int(self._n0v[n])),
-                (float(self._n1w[n]), int(self._n1v[n])),
+                (self._n0w.item(n), self._n0v.item(n)),
+                (self._n1w.item(n), self._n1v.item(n)),
             )
         return (
             k,
             bnd,
-            float(self._npw[n]),
-            int(self._npe[n]),
-            float(self._nps[n]),
-            int(self._npc[n]),
-            int(self._nsv[n]),
-            int(self._nse[n]),
-            float(self._nss[n]),
+            self._npw.item(n),
+            self._npe.item(n),
+            self._nps.item(n),
+            self._npc.item(n),
+            self._nsv.item(n),
+            self._nse.item(n),
+            self._nss.item(n),
             maxd,
-            (float(self._ndw[n]), int(self._ndx[n]), int(self._ndy[n])),
+            (self._ndw.item(n), self._ndx.item(n), self._ndy.item(n)),
         )
+
+    def _edge_node(self, a: int, b: int) -> int:
+        """The cluster standing for the contraction edge ``a -- b``."""
+        return self._edge_cluster[(a << 32) | b if a < b else (b << 32) | a] >> _LB
+
+    def _num_kids(self, n: int) -> int:
+        return int(np.count_nonzero(self._kid[n] >= 0))
 
     def _rake_fold(self, v: int, kids: list[int]):
         """Fold the rake group around ``v`` (same order/association as
@@ -1422,17 +1501,17 @@ class RCArrayForest:
         mw, mv = 0.0, v
         gdw, gdx, gdy = 0.0, v, v
         gv, ge, gs = 1, 0, 0.0
-        ro = self._rakes_on[v]
+        ro = [e >> _LB for e in self._rk[v].tolist() if e >= 0]
         if ro:
             cp = self._cp
             for w in sorted(ro):
                 r = int(cp[w])
                 kids.append(r)
-                mdw = float(self._n0w[r])
-                mdv = int(self._n0v[r])
-                rdw = float(self._ndw[r])
-                rdx = int(self._ndx[r])
-                rdy = int(self._ndy[r])
+                mdw = self._n0w.item(r)
+                mdv = self._n0v.item(r)
+                rdw = self._ndw.item(r)
+                rdx = self._ndx.item(r)
+                rdy = self._ndy.item(r)
                 if (rdw, rdx, rdy) > (gdw, gdx, gdy):
                     gdw, gdx, gdy = rdw, rdx, rdy
                 cw = mw + mdw
@@ -1440,45 +1519,45 @@ class RCArrayForest:
                     gdw, gdx, gdy = cw, mv, mdv
                 if (mdw, mdv) > (mw, mv):
                     mw, mv = mdw, mdv
-                gv += int(self._nsv[r])
-                ge += int(self._nse[r])
-                gs = gs + float(self._nss[r])
+                gv += self._nsv.item(r)
+                ge += self._nse.item(r)
+                gs = gs + self._nss.item(r)
         return mw, mv, gdw, gdx, gdy, gv, ge, gs
 
     def _rebuild_scalar(self, v: int) -> int:
-        i = int(self._top[v])
+        i = self._top.item(v)
         t = int(self._Lt[i][v])
         if t < _T_FINAL:  # pragma: no cover - defensive
             raise AssertionError(f"rebuild of non-contracting vertex {v}: {t}")
-        node = int(self._cp[v])
+        node = self._cp.item(v)
         if node == -1:
             node = self._new_node(_K_BINARY, rep=v)
             self._cp[v] = node
         old_sig = self._node_sig(node)
-        old_children = self._nkids[node]
+        old_children = [c for c in self._kid[node].tolist() if c >= 0]
 
-        kids: list[int] = [int(self._vl[v])]
+        kids: list[int] = [self._vl.item(v)]
         mw, mv, gdw, gdx, gdy, gv, ge, gs = self._rake_fold(v, kids)
 
         if t == _T_RAKE:
             u = int(self._La[i][v])
-            e = self._edge_cluster[(v << 32) | u if v < u else (u << 32) | v][0]
+            e = self._edge_node(v, u)
             kids.append(e)
-            if int(self._nb0[e]) == u:
-                euw, euv = float(self._n0w[e]), int(self._n0v[e])
-                evw, evv = float(self._n1w[e]), int(self._n1v[e])
+            if self._nb0.item(e) == u:
+                euw, euv = self._n0w.item(e), self._n0v.item(e)
+                evw, evv = self._n1w.item(e), self._n1v.item(e)
             else:
-                euw, euv = float(self._n1w[e]), int(self._n1v[e])
-                evw, evv = float(self._n0w[e]), int(self._n0v[e])
-            eps = float(self._nps[e])
+                euw, euv = self._n1w.item(e), self._n1v.item(e)
+                evw, evv = self._n0w.item(e), self._n0v.item(e)
+            eps = self._nps.item(e)
             cw = eps + mw
             if (euw, euv) >= (cw, mv):
                 m0w, m0v = euw, euv
             else:
                 m0w, m0v = cw, mv
-            dw = float(self._ndw[e])
-            dx = int(self._ndx[e])
-            dy = int(self._ndy[e])
+            dw = self._ndw.item(e)
+            dx = self._ndx.item(e)
+            dy = self._ndy.item(e)
             if (gdw, gdx, gdy) > (dw, dx, dy):
                 dw, dx, dy = gdw, gdx, gdy
             c3 = evw + mw
@@ -1502,31 +1581,31 @@ class RCArrayForest:
             self._ndw[node] = dw
             self._ndx[node] = dx
             self._ndy[node] = dy
-            self._nsv[node] = gv + int(self._nsv[e])
-            self._nse[node] = ge + int(self._nse[e])
-            self._nss[node] = gs + float(self._nss[e])
+            self._nsv[node] = gv + self._nsv.item(e)
+            self._nse[node] = ge + self._nse.item(e)
+            self._nss[node] = gs + self._nss.item(e)
         elif t == _T_COMP:
             u = int(self._La[i][v])
             w = int(self._Lb[i][v])
-            e1 = self._edge_cluster[(u << 32) | v if u < v else (v << 32) | u][0]
-            e2 = self._edge_cluster[(v << 32) | w if v < w else (w << 32) | v][0]
+            e1 = self._edge_node(u, v)
+            e2 = self._edge_node(v, w)
             kids.append(e1)
             kids.append(e2)
-            if int(self._nb0[e1]) == u:
-                e1uw, e1uv = float(self._n0w[e1]), int(self._n0v[e1])
-                e1vw, e1vv = float(self._n1w[e1]), int(self._n1v[e1])
+            if self._nb0.item(e1) == u:
+                e1uw, e1uv = self._n0w.item(e1), self._n0v.item(e1)
+                e1vw, e1vv = self._n1w.item(e1), self._n1v.item(e1)
             else:
-                e1uw, e1uv = float(self._n1w[e1]), int(self._n1v[e1])
-                e1vw, e1vv = float(self._n0w[e1]), int(self._n0v[e1])
-            if int(self._nb0[e2]) == w:
-                e2ww, e2wv = float(self._n0w[e2]), int(self._n0v[e2])
-                e2vw, e2vv = float(self._n1w[e2]), int(self._n1v[e2])
+                e1uw, e1uv = self._n1w.item(e1), self._n1v.item(e1)
+                e1vw, e1vv = self._n0w.item(e1), self._n0v.item(e1)
+            if self._nb0.item(e2) == w:
+                e2ww, e2wv = self._n0w.item(e2), self._n0v.item(e2)
+                e2vw, e2vv = self._n1w.item(e2), self._n1v.item(e2)
             else:
-                e2ww, e2wv = float(self._n1w[e2]), int(self._n1v[e2])
-                e2vw, e2vv = float(self._n0w[e2]), int(self._n0v[e2])
-            p1w, p1e = float(self._npw[e1]), int(self._npe[e1])
-            p2w, p2e = float(self._npw[e2]), int(self._npe[e2])
-            p1s, p2s = float(self._nps[e1]), float(self._nps[e2])
+                e2ww, e2wv = self._n1w.item(e2), self._n1v.item(e2)
+                e2vw, e2vv = self._n0w.item(e2), self._n0v.item(e2)
+            p1w, p1e = self._npw.item(e1), self._npe.item(e1)
+            p2w, p2e = self._npw.item(e2), self._npe.item(e2)
+            p1s, p2s = self._nps.item(e1), self._nps.item(e2)
             self._nk[node] = _K_BINARY
             self._nnb[node] = 2
             self._nb0[node] = u
@@ -1540,7 +1619,7 @@ class RCArrayForest:
                 self._npw[node] = p2w
                 self._npe[node] = p2e
             self._nps[node] = p1s + p2s
-            self._npc[node] = int(self._npc[e1]) + int(self._npc[e2])
+            self._npc[node] = self._npc.item(e1) + self._npc.item(e2)
             if (mw, mv) >= (e2vw, e2vv):
                 f1w, f1v = mw, mv
             else:
@@ -1564,11 +1643,11 @@ class RCArrayForest:
             self._n0v[node] = m0v
             self._n1w[node] = m1w
             self._n1v[node] = m1v
-            dw = float(self._ndw[e1])
-            dx = int(self._ndx[e1])
-            dy = int(self._ndy[e1])
+            dw = self._ndw.item(e1)
+            dx = self._ndx.item(e1)
+            dy = self._ndy.item(e1)
             for cand in (
-                (float(self._ndw[e2]), int(self._ndx[e2]), int(self._ndy[e2])),
+                (self._ndw.item(e2), self._ndx.item(e2), self._ndy.item(e2)),
                 (gdw, gdx, gdy),
                 (e1vw + mw, e1vv, mv),
                 (e2vw + mw, e2vv, mv),
@@ -1579,9 +1658,9 @@ class RCArrayForest:
             self._ndw[node] = dw
             self._ndx[node] = dx
             self._ndy[node] = dy
-            self._nsv[node] = (gv + int(self._nsv[e1])) + int(self._nsv[e2])
-            self._nse[node] = (ge + int(self._nse[e1])) + int(self._nse[e2])
-            self._nss[node] = (gs + float(self._nss[e1])) + float(self._nss[e2])
+            self._nsv[node] = (gv + self._nsv.item(e1)) + self._nsv.item(e2)
+            self._nse[node] = (ge + self._nse.item(e1)) + self._nse.item(e2)
+            self._nss[node] = (gs + self._nss.item(e1)) + self._nss.item(e2)
         else:  # finalize: the whole component has raked onto v
             self._nk[node] = _K_NULLARY
             self._nnb[node] = 0
@@ -1607,55 +1686,95 @@ class RCArrayForest:
 
         self._nlevel[node] = i
         npar = self._npar
-        if old_children:
-            for c in old_children:
-                if c not in kids and npar[c] == node:
-                    npar[c] = -1
-        self._nkids[node] = kids
-        for c in kids:
-            npar[c] = node
+        for c in old_children:
+            if c not in kids and npar[c] == node:
+                npar[c] = -1
+        row = self._kid[node]
+        row[: len(kids)] = kids
+        row[len(kids) :] = -1
+        npar[kids] = node
 
         if self._node_sig(node) != old_sig:
             pn = int(npar[node])
             if pn != -1:
-                self._drain_release(int(self._nrep[pn]))
+                self._drain_release(self._nrep.item(pn))
         return len(kids)
+
+    def _ends(self, e: np.ndarray, u: np.ndarray):
+        """Farthest ``(w, v)`` pairs of binary clusters ``e`` from their
+        boundary ``u``, then from their other boundary."""
+        w0, v0 = self._n0w[e], self._n0v[e]
+        w1, v1 = self._n1w[e], self._n1v[e]
+        at0 = self._nb0[e] == u
+        return (
+            np.where(at0, w0, w1),
+            np.where(at0, v0, v1),
+            np.where(at0, w1, w0),
+            np.where(at0, v1, v0),
+        )
 
     def _rebuild_dense(
         self, lvl: int, vs: list[int], pairs: list[tuple[int, int]]
     ) -> int:
         cp = self._cp
-        ec = self._edge_cluster
         va = np.asarray(vs, np.int64)
         n = va.size
         tags = self._Lt[lvl][va]
         dal = self._La[lvl][va]
         dbl = self._Lb[lvl][va]
-        vleafs = self._vl[va].tolist()
 
-        # Batch-allocate composite nodes for vertices that lack one.  Node
-        # ids are purely internal (queries and snapshots only see reps,
-        # eids and aggregate values), so block allocation is free to pick
-        # different ids than per-row ``_new_node`` calls would.
-        cpa = cp[va]
-        miss = np.flatnonzero(cpa == -1)
-        if miss.size:
-            base = self._nn
-            need = base + miss.size
-            while need > self._ncap:
-                self._alloc_nodes(max(2 * self._ncap, 256))
-            newids = np.arange(base, need, dtype=np.int64)
-            self._nk[newids] = _K_BINARY
-            self._nrep[newids] = va[miss]
-            self._nkids.extend([None] * miss.size)
-            self._nn = need
-            cpa[miss] = newids
-            cp[va[miss]] = newids
-        nodes = cpa
-        nl0 = nodes.tolist()
+        nodes = cp[va]
+        miss = nodes == -1
+        if miss.any():
+            nodes[miss] = self._new_composites(va[miss])
 
-        e1 = np.zeros(n, np.int64)
-        e2 = np.zeros(n, np.int64)
+        # Rake groups: each vertex's rakers in id order (free slots sort
+        # last as _PAD), then their composites.
+        R = self._rk[va] >> _LB
+        R[R < 0] = _PAD
+        R.sort(axis=1)
+        nr = (R < _PAD).sum(axis=1)
+        kr = int(nr.max())
+        R = R[:, :kr]
+        rmask = R < _PAD
+        RC = np.where(rmask, cp[np.where(rmask, R, 0)], -1)
+
+        # Consumed edge clusters: one for RAKE rows, two for COMP rows.
+        e1 = np.full(n, -1, np.int64)
+        e2 = np.full(n, -1, np.int64)
+        ec_get = self._edge_cluster.__getitem__
+        rka = np.flatnonzero(tags == _T_RAKE)
+        if rka.size:
+            vR = va[rka]
+            uR = dal[rka]
+            pk = np.where(vR < uR, (vR << 32) | uR, (uR << 32) | vR)
+            e1[rka] = np.fromiter(map(ec_get, pk.tolist()), np.int64, rka.size)
+        cka = np.flatnonzero(tags == _T_COMP)
+        if cka.size:
+            vC = va[cka]
+            uC0 = dal[cka]
+            wC0 = dbl[cka]
+            pk1 = np.where(uC0 < vC, (uC0 << 32) | vC, (vC << 32) | uC0)
+            pk2 = np.where(vC < wC0, (vC << 32) | wC0, (wC0 << 32) | vC)
+            e1[cka] = np.fromiter(map(ec_get, pk1.tolist()), np.int64, cka.size)
+            e2[cka] = np.fromiter(map(ec_get, pk2.tolist()), np.int64, cka.size)
+
+        e1 >>= _LB  # drop the level tags (-1 stays -1)
+        e2 >>= _LB
+
+        # Children rows: vertex leaf, raker composites, edge clusters.
+        ne = (tags == _T_RAKE) + 2 * (tags == _T_COMP)
+        nkid = 1 + nr + ne
+        K = np.full((n, self._kid.shape[1]), -1, np.int64)
+        K[:, 0] = self._vl[va]
+        K[:, 1 : 1 + kr] = RC
+        K[rka, 1 + nr[rka]] = e1[rka]
+        K[cka, 1 + nr[cka]] = e1[cka]
+        K[cka, 2 + nr[cka]] = e2[cka]
+        work = int(nkid.sum())
+
+        # Fold the rake groups slot by slot: the same comparisons, first-
+        # wins tie handling and float association as ``_rake_fold``.
         mw = np.zeros(n)
         mv = va.copy()
         gdw = np.zeros(n)
@@ -1664,124 +1783,21 @@ class RCArrayForest:
         gv = np.ones(n, np.int64)
         ge = np.zeros(n, np.int64)
         gs = np.zeros(n)
-        ro = self._rakes_on
-        nkids = self._nkids
-        olds: list[list[int] | None] = [nkids[x] for x in nl0]
-        kids_all: list[list[int]] = [[vf] for vf in vleafs]
-        # One- and two-raker groups (the overwhelmingly common cases) fold
-        # vectorized below; larger groups replay RCForest's loop.
-        single_k: list[int] = []
-        single_rw: list[int] = []
-        dbl_k: list[int] = []
-        dbl_rw1: list[int] = []
-        dbl_rw2: list[int] = []
-        multi_k: list[int] = []
-        for k, v in enumerate(vs):
-            rv = ro[v]
-            if rv:
-                nr = len(rv)
-                if nr == 1:
-                    (rw,) = rv
-                    single_k.append(k)
-                    single_rw.append(rw)
-                elif nr == 2:
-                    rw1, rw2 = sorted(rv)
-                    dbl_k.append(k)
-                    dbl_rw1.append(rw1)
-                    dbl_rw2.append(rw2)
-                else:
-                    multi_k.append(k)
-        if single_k:
-            for k, r in zip(single_k, cp[np.asarray(single_rw, np.int64)].tolist()):
-                kids_all[k].append(r)
-        sr2a = sr2b = None
-        if dbl_k:
-            sr2a = cp[np.asarray(dbl_rw1, np.int64)]
-            sr2b = cp[np.asarray(dbl_rw2, np.int64)]
-            for k, ra, rb in zip(dbl_k, sr2a.tolist(), sr2b.tolist()):
-                kids = kids_all[k]
-                kids.append(ra)
-                kids.append(rb)
-        for k in multi_k:
-            (
-                mw[k],
-                mv[k],
-                gdw[k],
-                gdx[k],
-                gdy[k],
-                gv[k],
-                ge[k],
-                gs[k],
-            ) = self._rake_fold(vs[k], kids_all[k])
-        ec_get = ec.__getitem__
-        rka = np.flatnonzero(tags == _T_RAKE)
-        if rka.size:
-            vR = va[rka]
-            uR = dal[rka]
-            pk = np.where(vR < uR, (vR << 32) | uR, (uR << 32) | vR)
-            eks = [t[0] for t in map(ec_get, pk.tolist())]
-            for k, ek in zip(rka.tolist(), eks):
-                kids_all[k].append(ek)
-            e1[rka] = eks
-        cka = np.flatnonzero(tags == _T_COMP)
-        if cka.size:
-            vC = va[cka]
-            uC0 = dal[cka]
-            wC0 = dbl[cka]
-            pk1 = np.where(uC0 < vC, (uC0 << 32) | vC, (vC << 32) | uC0)
-            pk2 = np.where(vC < wC0, (vC << 32) | wC0, (wC0 << 32) | vC)
-            ek1s = [t[0] for t in map(ec_get, pk1.tolist())]
-            ek2s = [t[0] for t in map(ec_get, pk2.tolist())]
-            for k, eka, ekb in zip(cka.tolist(), ek1s, ek2s):
-                kids = kids_all[k]
-                kids.append(eka)
-                kids.append(ekb)
-            e1[cka] = ek1s
-            e2[cka] = ek2s
-        lens = list(map(len, kids_all))
-        flat_kids = list(chain.from_iterable(kids_all))
-        work = len(flat_kids)
-
-        def fold_step(m1, m2, g1, g2, g3, sr):
-            # One vectorized ``_rake_fold`` iteration: same comparisons,
-            # same first-wins tie handling, same float association.
+        for j in range(kr):
+            k = np.flatnonzero(nr > j)
+            sr = RC[k, j]
+            m1, m2 = mw[k], mv[k]
             mdw = self._n0w[sr]
             mdv = self._n0v[sr]
             g1, g2, g3 = _lexmax3(
-                g1, g2, g3, self._ndw[sr], self._ndx[sr], self._ndy[sr]
+                gdw[k], gdx[k], gdy[k],
+                self._ndw[sr], self._ndx[sr], self._ndy[sr],
             )
-            g1, g2, g3 = _lexmax3(g1, g2, g3, m1 + mdw, m2, mdv)
-            m1, m2 = _lexmax2(m1, m2, mdw, mdv)
-            return m1, m2, g1, g2, g3
-
-        if single_k:
-            sk = np.asarray(single_k, np.intp)
-            sr = cp[np.asarray(single_rw, np.int64)]
-            vsk = va[sk]
-            zero = np.zeros(sk.size)
-            m1, m2, g1, g2, g3 = fold_step(zero, vsk, zero, vsk, vsk, sr)
-            mw[sk] = m1
-            mv[sk] = m2
-            gdw[sk] = g1
-            gdx[sk] = g2
-            gdy[sk] = g3
-            gv[sk] = 1 + self._nsv[sr]
-            ge[sk] = self._nse[sr]
-            gs[sk] = 0.0 + self._nss[sr]
-        if dbl_k:
-            dk = np.asarray(dbl_k, np.intp)
-            vdk = va[dk]
-            zero = np.zeros(dk.size)
-            m1, m2, g1, g2, g3 = fold_step(zero, vdk, zero, vdk, vdk, sr2a)
-            m1, m2, g1, g2, g3 = fold_step(m1, m2, g1, g2, g3, sr2b)
-            mw[dk] = m1
-            mv[dk] = m2
-            gdw[dk] = g1
-            gdx[dk] = g2
-            gdy[dk] = g3
-            gv[dk] = (1 + self._nsv[sr2a]) + self._nsv[sr2b]
-            ge[dk] = self._nse[sr2a] + self._nse[sr2b]
-            gs[dk] = (0.0 + self._nss[sr2a]) + self._nss[sr2b]
+            gdw[k], gdx[k], gdy[k] = _lexmax3(g1, g2, g3, m1 + mdw, m2, mdv)
+            mw[k], mv[k] = _lexmax2(m1, m2, mdw, mdv)
+            gv[k] += self._nsv[sr]
+            ge[k] += self._nse[sr]
+            gs[k] += self._nss[sr]
 
         # Old parent-visible signature columns (gathered after all node
         # allocations so array references are stable).
@@ -1849,11 +1865,7 @@ class RCArrayForest:
         if idx.size:
             eR = e1[idx]
             uR = dal[idx]
-            iu0 = self._nb0[eR] == uR
-            euw = np.where(iu0, self._n0w[eR], self._n1w[eR])
-            euv = np.where(iu0, self._n0v[eR], self._n1v[eR])
-            evw = np.where(iu0, self._n1w[eR], self._n0w[eR])
-            evv = np.where(iu0, self._n1v[eR], self._n0v[eR])
+            euw, euv, evw, evv = self._ends(eR, uR)
             mwR = mw[idx]
             mvR = mv[idx]
             m0w_, m0v_ = _lexmax2(euw, euv, self._nps[eR] + mwR, mvR)
@@ -1887,16 +1899,8 @@ class RCArrayForest:
             eB = e2[idx]
             uC = dal[idx]
             wC = dbl[idx]
-            i1u0 = self._nb0[eA] == uC
-            e1uw = np.where(i1u0, self._n0w[eA], self._n1w[eA])
-            e1uv = np.where(i1u0, self._n0v[eA], self._n1v[eA])
-            e1vw = np.where(i1u0, self._n1w[eA], self._n0w[eA])
-            e1vv = np.where(i1u0, self._n1v[eA], self._n0v[eA])
-            i2w0 = self._nb0[eB] == wC
-            e2ww = np.where(i2w0, self._n0w[eB], self._n1w[eB])
-            e2wv = np.where(i2w0, self._n0v[eB], self._n1v[eB])
-            e2vw = np.where(i2w0, self._n1w[eB], self._n0w[eB])
-            e2vv = np.where(i2w0, self._n1v[eB], self._n0v[eB])
+            e1uw, e1uv, e1vw, e1vv = self._ends(eA, uC)
+            e2ww, e2wv, e2vw, e2vv = self._ends(eB, wC)
             p1w = self._npw[eA]
             p1e = self._npe[eA]
             p2w = self._npw[eB]
@@ -1973,20 +1977,14 @@ class RCArrayForest:
         # RCForest's per-vertex interleaving (kept children are restored by
         # the scatter; children owned by other nodes fail the guard).
         npar = self._npar
-        fo: list[int] = []
-        fown: list[int] = []
-        for node_id, old in zip(nl0, olds):
-            if old:
-                fo.extend(old)
-                fown.extend([node_id] * len(old))
-        if fo:
-            foa = np.asarray(fo, np.int64)
-            sel = npar[foa] == np.asarray(fown, np.int64)
-            npar[foa[sel]] = -1
-        for node_id, kids in zip(nl0, kids_all):
-            nkids[node_id] = kids
-        flat = np.asarray(flat_kids, np.int64)
-        npar[flat] = np.repeat(nodes, np.asarray(lens, np.int64))
+        owner = np.broadcast_to(nodes[:, None], K.shape)
+        O = self._kid[nodes]
+        live = O >= 0
+        oc = O[live]
+        npar[oc[npar[oc] == owner[live]]] = -1
+        self._kid[nodes] = K
+        live = K >= 0
+        npar[K[live]] = owner[live]
 
         changed = (
             (o_k != n_kind)
@@ -2013,16 +2011,13 @@ class RCArrayForest:
         if ci.size:
             pn = npar[nodes[ci]]
             sel = pn != -1
-            markers = va[ci[sel]].tolist()
-            targets = self._nrep[pn[sel]].tolist()
-            top = self._top
-            buckets = self._dbuckets
-            for m, t in zip(markers, targets):
-                tl = int(top[t])
-                if tl != lvl:
-                    buckets.setdefault(tl, set()).add(t)
-                else:
-                    pairs.append((m, t))
+            markers = va[ci[sel]]
+            targets = self._nrep[pn[sel]]
+            same = self._top[targets] == lvl
+            if not same.all():
+                self._bucket(targets[~same])
+            if same.any():
+                pairs.extend(zip(markers[same].tolist(), targets[same].tolist()))
         return work
 
     # ------------------------------------------------------------------
@@ -2047,7 +2042,7 @@ class RCArrayForest:
         # Mark phase: early-stopping upward walks (Lemma 3.3 path sharing).
         # ``ddist`` memoises each marked cluster's distance to its root, so
         # the expand recursion depth (the span charge) falls out of the
-        # walks and the expand DFS needs no post-order depth stack.
+        # walks and the expand pass needs no post-order depth stack.
         with charge.phase("cpt-mark") as ph:
             # Level-synchronised BFS up from the marked leaves.  The scalar
             # walk's per-leaf early stop becomes a frontier filter against
@@ -2084,9 +2079,7 @@ class RCArrayForest:
                 np.concatenate(mc_parts) if mc_parts else leaves
             )
             touched = int(mc_all.size)
-            roots = (
-                np.concatenate(root_parts).tolist() if root_parts else []
-            )
+            roots = np.concatenate(root_parts) if root_parts else leaves
             charge.add(
                 work=touched + max(len(marked_set), 1),
                 span=log2ceil(max(self.num_vertices, 2)),
@@ -2102,14 +2095,15 @@ class RCArrayForest:
             adj: dict[int, dict[int, tuple]] = {v: {} for v in marked_set}
 
             # Vectorised prune classification: every marked cluster gets a
-            # dispatch code in a bytearray over node ids (0 means unmarked,
-            # a U op).  1 is a marked VERTEX leaf (the builder's add_vertex
-            # is a no-op: its rep is always in ``marked_set``); 2 is a
-            # composite whose prune is a no-op (rep marked or boundary-
-            # protected); 3 is a composite whose prune runs with the rep
-            # and protection recorded in ``pmap``.
-            codes_b = bytearray(self._nn)
-            pmap: dict[int, tuple] = {}
+            # dispatch code over node ids (0 means unmarked, a U op).  1 is
+            # a marked VERTEX leaf (the builder's add_vertex is a no-op:
+            # its rep is always in ``marked_set``); 2 is a composite whose
+            # prune is a no-op (rep marked or boundary-protected); 3 is a
+            # composite whose prune runs with the rep and protection
+            # recorded in ``pmap``.
+            ops: list[int] = []
+            expand_count = 0
+            ua = mc_all[:0]
             if touched:
                 mca = mc_all
                 kindm = self._nk[mca]
@@ -2128,10 +2122,8 @@ class RCArrayForest:
                     | (repm == b0m)
                     | (repm == b1m)
                 )
-                cview = np.frombuffer(codes_b, np.uint8)
-                cview[mca] = np.where(
-                    kindm == _K_VERTEX, 1, np.where(keep, 3, 2)
-                ).astype(np.uint8)
+                code = np.zeros(self._nn, np.uint8)
+                code[mca] = np.where(kindm == _K_VERTEX, 1, np.where(keep, 3, 2))
                 ki = np.flatnonzero(keep)
                 # ``pmap`` maps a P node to an index into the flat
                 # rep/boundary columns.  Absent boundaries are -1 and real
@@ -2141,43 +2133,48 @@ class RCArrayForest:
                 p_rep = repm[ki].tolist()
                 p_b0 = b0m[ki].tolist()
                 p_b1 = b1m[ki].tolist()
-            kids = self._nkids
 
-            # Iterative post-order replay of ``cpt._expand``: pre-visits
-            # emit U ops (j >= 0, indexing ``unmarked``), post-visits emit
-            # the surviving P op (~node < 0, keying ``pmap``).  Recursion
-            # depth was already charged via the mark walks.
-            ops: list[int] = []
-            unmarked: list[int] = []
-            expand_count = 0
-            ops_append = ops.append
-            unm_append = unmarked.append
-            for root in roots:
-                stack: list[int] = [root]
-                pop = stack.pop
-                push = stack.append
-                extend = stack.extend
-                count = 0
-                while stack:
-                    e = pop()
-                    if e < 0:
-                        ops_append(e)
-                        continue
-                    count += 1
-                    c = codes_b[e]
-                    if c == 0:
-                        ops_append(len(unmarked))
-                        unm_append(e)
-                    elif c >= 2:
-                        if c == 3:
-                            push(~e)
-                        ch = kids[e]
-                        if ch:
-                            extend(reversed(ch))
-                expand_count += count
+                # ``cpt._expand`` recurses from each root (in ``roots``
+                # order) through the child rows of marked composites,
+                # emitting a U op when it enters an unmarked cluster and a
+                # P op when it leaves a code-3 composite.  Its op sequence
+                # is recovered without the recursion from an Euler tour:
+                # every visited cluster spans two events (enter, exit)
+                # plus its subtree's, summed bottom-up over the marked
+                # composites by contraction level (children contract
+                # strictly lower), then enter positions flow top-down as
+                # row-order prefix sums.  Recursion depth was already
+                # charged via the mark walks.
+                comp = mca[kindm != _K_VERTEX]
+                comp = comp[np.argsort(self._nlevel[comp], kind="stable")]
+                lv = self._nlevel[comp]
+                cut = (np.flatnonzero(lv[1:] != lv[:-1]) + 1).tolist()
+                groups = list(zip([0] + cut, cut + [comp.size]))
+                rows = self._kid[comp]
+                live = rows >= 0
+                rows[~live] = 0
+                ev = np.full(self._nn, 2, np.int64)
+                for lo, hi in groups:
+                    sub = np.where(live[lo:hi], ev[rows[lo:hi]], 0)
+                    ev[comp[lo:hi]] = 2 + sub.sum(axis=1)
+                ent = np.empty(self._nn, np.int64)
+                ent[roots] = np.cumsum(ev[roots]) - ev[roots]
+                for lo, hi in reversed(groups):
+                    lm = live[lo:hi]
+                    sub = np.where(lm, ev[rows[lo:hi]], 0)
+                    at = ent[comp[lo:hi], None] + 1 + np.cumsum(sub, axis=1) - sub
+                    ent[rows[lo:hi][lm]] = at[lm]
+                kids = rows[live]
+                expand_count = roots.size + kids.size
+                ua = kids[code[kids] == 0]
+                ua = ua[np.argsort(ent[ua])]
+                pn = mca[ki]
+                pos = np.concatenate((ent[ua], ent[pn] + ev[pn] - 1))
+                val = np.concatenate((np.arange(ua.size), -2 - pn))
+                # U ops are j >= 0 (indexing ``ua``), P ops -2 - node.
+                ops = val[np.argsort(pos)].tolist()
 
-            if unmarked:
-                ua = np.asarray(unmarked, np.int64)
+            if ua.size:
                 # nnb == 2 implies kind is EDGE or BINARY (the only
                 # two-boundary clusters), so no kind gather is needed.
                 u_nb = self._nnb[ua].tolist()
@@ -2225,7 +2222,7 @@ class RCArrayForest:
                             adj[b0] = {}
                 else:  # the Prune primitive (pre-filtered: v unmarked,
                     # unprotected)
-                    j = pmap[~op]
+                    j = pmap[-2 - op]
                     v = p_rep[j]
                     nbv = adj[v]
                     deg = len(nbv)
@@ -2311,7 +2308,9 @@ class RCArrayForest:
         for v in cands.tolist():
             n = int(self._cp[v])
             kid_tags = []
-            for c in self._nkids[n] or ():
+            for c in self._kid[n].tolist():
+                if c < 0:
+                    break
                 ck = int(self._nk[c])
                 if ck == _K_VERTEX:
                     kid_tags.append(("v", int(self._nrep[c])))
@@ -2372,12 +2371,38 @@ class RCArrayForest:
                 if tj != -1:
                     assert tj == _T_STAY
 
-        # Cluster tree: children partition, parent pointers, path maxima.
+        # Raker slots hold exactly the settled rakes, tagged with the
+        # level each rake happens at.
+        rakers: dict[int, list[int]] = {v: [] for v in registered}
+        for v in registered:
+            i = int(self._top[v])
+            if int(self._Lt[i][v]) == _T_RAKE:
+                rakers[int(self._La[i][v])].append(v)
+        for v in registered:
+            slots = [
+                (e >> _LB, e & (_MAX_LEVELS - 1))
+                for e in self._rk[v].tolist()
+                if e >= 0
+            ]
+            assert sorted(slots) == [
+                (r, int(self._top[r])) for r in rakers[v]
+            ], f"raker slots of {v} disagree with the level tags"
+
+        # Cluster tree: child rows (vertex leaf, raker composites in raker
+        # order, consumed edge clusters), parent pointers, path maxima.
         for v in registered:
             n = int(self._cp[v])
             if n == -1 or self._top[v] == -1:
                 continue
-            kids = self._nkids[n] or []
+            row = self._kid[n].tolist()
+            kids = [c for c in row if c >= 0]
+            assert row == kids + [-1] * (len(row) - len(kids))
+            i = int(self._top[v])
+            t = int(self._Lt[i][v])
+            ends = [int(self._La[i][v]), int(self._Lb[i][v])][: t - _T_FINAL]
+            want = [int(self._vl[v])] + [int(self._cp[r]) for r in rakers[v]]
+            want += [self._edge_node(v, u) for u in ends]
+            assert kids == want, f"child row of comp[{v}] disagrees with tags"
             for c in kids:
                 assert int(self._npar[c]) == n, f"broken parent under comp[{v}]"
             kinds = [int(self._nk[c]) for c in kids]
@@ -2396,6 +2421,9 @@ class RCArrayForest:
                 )
                 assert (float(self._npw[n]), int(self._npe[n])) == expect
                 assert int(self._npc[n]) == sum(int(self._npc[c]) for c in bins)
+
+        leaves = list(self.eleaf.values()) + self._vl[registered].tolist()
+        assert (self._kid[leaves] == -1).all(), "a leaf has children"
 
         # Roots are nullary.
         for v in registered:

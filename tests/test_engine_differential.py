@@ -30,6 +30,7 @@ from repro.msf.graph import EdgeArray
 from repro.msf.kruskal import kruskal_msf
 from repro.runtime import CostModel, measure
 from repro.trees import DynamicForest, RCArrayForest, RCForest
+from repro.trees.ternary import InternalLink
 from tests.helpers import rc_engine, reference_rc
 
 # Small vertex counts + a coarse weight pool force collisions: parallel
@@ -176,6 +177,94 @@ class TestCPTDifferential:
                 assert cpt_o.aggregates == cpt_a.aggregates
                 assert cpt_o.marked == cpt_a.marked
                 assert (co.work, co.span) == (ca.work, ca.span)
+
+
+class TestFixedWidthColumns:
+    """The production engine keeps its children lists and its who-rakes-
+    onto-whom index in fixed-width columns (one row per cluster node,
+    one row of level-tagged raker slots per vertex).  Two shapes stress
+    them: a degree-3 vertex whose three neighbours all rake onto it (the
+    widest rake group a ternarized forest has), and a rake that moves
+    between levels in one batch (the apply-here/undo-there race the
+    level tags exist for).  Both are run on the reference and on the
+    production engine with every pass forced dense and forced scalar."""
+
+    @staticmethod
+    def _engines(n):
+        ref = RCForest(range(n), seed=11)
+        prods = []
+        for threshold in (0, 10**9):
+            f = RCArrayForest(range(n), seed=11)
+            f.DENSE_THRESHOLD = threshold
+            prods.append(f)
+        return ref, prods
+
+    @staticmethod
+    def _step(ref, prods, links=(), cuts=(), marks=()):
+        links = [InternalLink(a, b, float(w), e) for a, b, w, e in links]
+        cuts = list(cuts)
+        ref.cost = co = CostModel()
+        ref.batch_update(links=links, cuts=cuts)
+        want = ref.snapshot()
+        cpt_o = ref.compressed_path_trees(marks, cost=co)
+        for f in prods:
+            f.cost = ca = CostModel()
+            f.batch_update(links=links, cuts=cuts)
+            cpt_a = f.compressed_path_trees(marks, cost=ca)
+            assert (ca.work, ca.span) == (co.work, co.span)
+            assert f.snapshot() == want
+            assert cpt_a.vertices == cpt_o.vertices
+            assert cpt_a.edges == cpt_o.edges
+            assert cpt_a.aggregates == cpt_o.aggregates
+            f.check_invariants()
+        return want
+
+    @staticmethod
+    def _decision(snap, level, v):
+        return next(dec for i, _, dec in snap["levels"] if i == level).get(v)
+
+    def test_three_rakers_onto_one_vertex(self):
+        ref, prods = self._engines(8)
+        star = [(0, 1, 5, 0), (0, 2, 3, 1), (0, 3, 4, 2)]
+        snap = self._step(ref, prods, links=star, marks=[1, 2])
+        for leaf in (1, 2, 3):
+            assert self._decision(snap, 0, leaf) == ("R", 0)
+        assert snap["clusters"][0][-1] == (
+            ("c", 1), ("c", 2), ("c", 3), ("v", 0),
+        )
+        # Lengthen one arm, swap another, then cut back to the star.
+        self._step(
+            ref, prods, links=[(3, 4, 1, 3), (4, 5, 2, 4)], marks=[5, 1]
+        )
+        self._step(
+            ref, prods, links=[(2, 6, 7, 5)], cuts=[(0, 1, 0)], marks=[6]
+        )
+        snap = self._step(
+            ref, prods, links=[(0, 1, 6, 6)],
+            cuts=[(3, 4, 3), (2, 6, 5)], marks=[4, 0],
+        )
+        assert snap["clusters"][0][-1] == (
+            ("c", 1), ("c", 2), ("c", 3), ("v", 0),
+        )
+
+    def test_rake_moves_between_levels_in_one_batch(self):
+        # Hub 0 keeps degree 3 through levels 0 and 1 (two long arms and
+        # vertex 1).  With the leaf 2 hanging off 1, 2 rakes onto 1 at
+        # level 0 and 1 rakes onto 0 at level 1; cutting 1-2 makes 1 a
+        # leaf, so its rake onto 0 moves to level 0 in the same batch.
+        ref, prods = self._engines(16)
+        arms = [(0, 3, 1, 0)] + [(k, k + 1, k, k) for k in range(3, 8)]
+        arms += [(0, 9, 2, 10)] + [(k, k + 1, k, k + 2) for k in range(9, 14)]
+        snap = self._step(
+            ref, prods, links=arms + [(0, 1, 9, 20), (1, 2, 8, 21)], marks=[2]
+        )
+        assert self._decision(snap, 0, 2) == ("R", 1)
+        assert self._decision(snap, 1, 1) == ("R", 0)
+        snap = self._step(ref, prods, cuts=[(1, 2, 21)], marks=[1, 2])
+        assert self._decision(snap, 0, 1) == ("R", 0)
+        # And back up to level 1.
+        snap = self._step(ref, prods, links=[(1, 2, 8, 22)], marks=[2, 14])
+        assert self._decision(snap, 1, 1) == ("R", 0)
 
 
 def _strip_wall(d):

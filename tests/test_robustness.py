@@ -80,6 +80,34 @@ class TestSoak:
             assert f.rc.snapshot() == steady_empty
             assert f.ternary.num_copies == copies  # slots recycled, no growth
 
+    def test_node_table_is_bounded_by_live_content(self):
+        # A sliding window runs forever, so the RC engine's node table must
+        # not grow with stream length: every registered vertex owns a leaf
+        # and a composite, every live edge a leaf, and cut edge leaves are
+        # reused.  (The vertex count itself still creeps with the
+        # ternarization's high-water degrees.)  20 windows of 32-edge
+        # rounds; without leaf reuse the dead rows grow by one per cut.
+        rng = random.Random(5)
+        n = window = 512
+        ell = 32
+        sw = SWConnectivityEager(n)
+        rc = sw._msf.forest.rc
+
+        def dead_rows():
+            return rc._nn - (2 * rc.num_vertices + rc.num_edges)
+
+        for w in range(1, 21):
+            for _ in range(window // ell):
+                if sw.window_size + ell > window:
+                    sw.batch_expire(ell)
+                sw.batch_insert(
+                    [(rng.randrange(n), rng.randrange(n)) for _ in range(ell)]
+                )
+            if w == 2:
+                dead_after_2 = dead_rows()
+        assert 0 <= dead_rows() <= dead_after_2 + ell
+        rc.check_invariants()
+
 
 class TestDeterminism:
     def _drive(self, seed: int):

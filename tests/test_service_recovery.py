@@ -20,13 +20,19 @@ apply path (the split-brain variant lives in ``tests/test_replication``).
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.replication import ReplicatedService
-from repro.service import InjectedCrash, ServiceConfig, StreamService
+from repro.service import (
+    InjectedCrash,
+    ServiceConfig,
+    SnapshotStore,
+    StreamService,
+)
 from repro.sliding_window import SWConnectivityEager
 from tests.helpers import rc_engine
 
@@ -117,6 +123,45 @@ def test_crash_recover_matches_uninterrupted(
     svc2.close()
 
     assert fingerprint(svc2.structure) == fingerprint(twin)
+
+
+def test_checkpoint_from_an_older_schema_is_skipped(tmp_path):
+    """A checkpoint tagged with the v1 schema (an older pickled engine
+    layout) must not be loaded: recovery skips it and replays the whole
+    WAL to the uninterrupted run's fingerprint."""
+    rounds = [([(0, 1), (1, 2), (3, 4)], 0), ([(2, 3), (5, 6)], 1),
+              ([(6, 7), (4, 8), (9, 10)], 2), ([(10, 11), (0, 7)], 0)]
+    cfg = ServiceConfig(flush_edges=10**9, snapshot_every=0)
+    svc = StreamService(SWConnectivityEager(N, seed=SEED), tmp_path, cfg)
+    for edges, expire in rounds:
+        svc.submit_insert(edges)
+        if expire:
+            svc.submit_expire(expire)
+        svc.flush()
+    svc.close()
+
+    # Claims to cover the first two rounds but holds the empty structure,
+    # so loading it would lose them.
+    snaps = tmp_path / "snapshots"
+    snaps.mkdir()
+    (snaps / "snapshot-000000000001.pkl").write_bytes(
+        pickle.dumps(
+            {
+                "schema": "repro.service/snapshot/v1",
+                "lsn": 1,
+                "epoch": 0,
+                "structure": SWConnectivityEager(N, seed=SEED),
+            }
+        )
+    )
+    assert SnapshotStore(snaps).load_latest() is None
+
+    recovered = StreamService.open(
+        tmp_path, lambda: SWConnectivityEager(N, seed=SEED), config=cfg
+    )
+    assert recovered.next_lsn == len(rounds)
+    assert fingerprint(recovered.structure) == fingerprint(drive_direct(rounds))
+    recovered.close()
 
 
 # One optional follower disruption per round: kill or revive replica 0/1.

@@ -6,8 +6,9 @@ Two self-test claims keep the gate honest:
   its committed baseline band (a green gate in CI is backed by a test,
   not hope);
 - an **injected 2x p99 regression** (the ``--handicap`` lever) flips
-  the verdict to FAIL against a freshly measured machine-local
-  baseline -- proving the band is real, not vacuous.
+  the verdict to FAIL against a freshly measured baseline -- proving
+  the band is real, not vacuous.  Both measurements run on a step
+  clock, so the verdict is deterministic under any machine load.
 
 Plus the triage path: ``python -m repro.report --trace-diff A B`` must
 render a phase-by-phase comparison for healthy records and exit 1 with
@@ -17,12 +18,14 @@ a one-line diagnosis on truncated or schema-mismatched ones.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import pathlib
+import types
 
 from repro.obs.export import BenchmarkRecord, write_record
 from repro.report import main as report_main
-from repro.trace import TRACE_SCHEMA, read_trace
+from repro.trace import TRACE_SCHEMA, read_trace, replay
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 GATE = REPO_ROOT / "scripts" / "gate.py"
@@ -80,11 +83,24 @@ class TestGateVerdicts:
         gate.emit_trace(path, n=32, seed=3, rounds=12)
         return path
 
-    def test_injected_2x_regression_fails_the_gate(self, tmp_path, capsys):
-        """Baseline the trace on this machine with a tight band, then
-        replay it with a 2x p99 handicap: the gate must fail, naming
-        the latency breach."""
+    def test_injected_2x_regression_fails_the_gate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Baseline the trace with a tight band, then replay it with a 2x
+        p99 handicap: the gate must fail, naming the latency breach.
+
+        Both replays time every write and read on a step clock (each
+        reading is 1 ms after the previous one), so the baseline and the
+        gated run measure identical latencies and the verdict depends on
+        the band arithmetic alone -- a CPU hiccup during ``--update`` can
+        no longer widen the band enough to absorb the handicap."""
         gate = _load_gate()
+        steps = itertools.count(1)
+        monkeypatch.setattr(
+            replay,
+            "time",
+            types.SimpleNamespace(perf_counter=lambda: next(steps) * 1e-3),
+        )
         self._emit_small(gate, tmp_path)
         argv = ["--traces-dir", str(tmp_path)]
         assert gate.main(argv + ["--update"]) == 0
@@ -94,7 +110,7 @@ class TestGateVerdicts:
         )
         out = capsys.readouterr().out
         assert "FAIL" in out
-        assert "write p99" in out
+        assert "write p99 2.000ms > 1.400ms" in out
 
     def test_missing_baseline_fails(self, tmp_path, capsys):
         gate = _load_gate()
