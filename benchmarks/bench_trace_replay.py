@@ -9,9 +9,9 @@ enough to gate on (a golden trace replays in seconds, so
 Harness: record a bursty sliding-window workload with periodic grouped
 read batches through a live :class:`~repro.replication.ReplicatedService`
 with a :class:`~repro.trace.TraceRecorder` attached, then replay the
-trace under three configurations -- 1x preserved rounds (the
-byte-identity gate mode), 8x virtual speed, and re-batching mode (ops
-re-coalesced under the target flush policy).  Every replay's final state
+trace under two configurations -- preserved rounds (the byte-identity
+gate mode) and re-batching mode (ops re-coalesced under the target
+flush policy).  Every replay's final state
 is asserted byte-identical to the trace oracle (or its own WAL oracle in
 re-batching mode) before any number is reported: a fast-but-wrong replay
 is worthless.  The recorded trace is left in ``bench_results/`` for
@@ -108,8 +108,7 @@ def test_trace_replay(record_table, record_json, benchmark, tmp_path):
         assert state_fingerprint(oracle) == live_fp  # capture was faithful
 
         modes = [
-            ("1x preserved", ReplayConfig()),
-            ("8x preserved", ReplayConfig(speed=8.0)),
+            ("preserved", ReplayConfig()),
             (
                 "re-batched",
                 ReplayConfig(

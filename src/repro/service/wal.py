@@ -54,10 +54,17 @@ Crash semantics follow the standard WAL contract:
   record anywhere *before* the tail (i.e. one whose newline is on disk)
   is real corruption and raises :class:`WalCorruption`.
 - a *failed append* (transient I/O error, torn write, failed fsync) is
-  repaired immediately: :meth:`WriteAheadLog.append` truncates the file
+  repaired immediately: :meth:`LineLog.append_line` truncates the file
   back to the last durable record before re-raising, so a caller-level
   retry (:class:`repro.service.resilience.RetryPolicy`) re-appends the
   same LSN onto a clean tail instead of concatenating garbage.
+
+The durable-line file behind this contract -- header line, CRC-framed
+newline-terminated records, torn-tail repair on open, truncate on a
+failed append -- is :func:`scan_lines` plus :class:`LineLog`, with
+:func:`frame_line` / :func:`unframe_line` for the CRC and
+:func:`ops_to_json` / :func:`ops_from_json` for the op list;
+:mod:`repro.trace.record` reuses all of them for trace files.
 
 Every filesystem operation routes through the pluggable
 :class:`repro.service.storage.StorageIO` seam (``io=`` on every
@@ -72,7 +79,7 @@ import pathlib
 import re
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.service.storage import REAL_IO, StorageIO
 
@@ -122,21 +129,8 @@ class SegmentInfo:
             return 0
 
 
-def fsync_dir(directory: str | pathlib.Path) -> None:
-    """fsync a directory so entries created/renamed in it are durable.
-
-    Module-level convenience over :meth:`StorageIO.fsync_dir` for callers
-    outside the seam (see that method for why directories need fsyncs).
-    """
-    REAL_IO.fsync_dir(directory)
-
-
-def _canonical(lsn: int, ops: Sequence[Op], epoch: int) -> str:
-    body = [lsn, epoch, [list(op) for op in _jsonable(ops)]]
-    return json.dumps(body, separators=(",", ":"))
-
-
-def _jsonable(ops: Sequence[Op]) -> list[list]:
+def ops_to_json(ops: Sequence[Op]) -> list[list]:
+    """``ops`` as the JSON shape the WAL and traces share."""
     out = []
     for kind, payload in ops:
         if kind == OP_INSERT:
@@ -144,59 +138,137 @@ def _jsonable(ops: Sequence[Op]) -> list[list]:
         elif kind == OP_EXPIRE:
             out.append([kind, int(payload)])
         else:
-            raise ValueError(f"unknown WAL op kind {kind!r}")
+            raise ValueError(f"unknown op kind {kind!r}")
     return out
 
 
-def encode_record(lsn: int, ops: Sequence[Op], epoch: int = 0) -> str:
-    """One WAL line (no trailing newline) for ``ops`` at ``lsn``."""
-    body = _canonical(lsn, ops, epoch)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return json.dumps(
-        {"lsn": lsn, "epoch": epoch, "ops": _jsonable(ops), "crc": crc},
-        separators=(",", ":"),
-    )
-
-
-def decode_record(line: str) -> WalRecord | None:
-    """Parse one WAL line; ``None`` when the line is torn or corrupt
-    (including a record without an ``epoch`` field)."""
-    try:
-        doc = json.loads(line)
-        lsn = doc["lsn"]
-        ops_json = doc["ops"]
-        crc = doc["crc"]
-        epoch = doc["epoch"]
-    except (ValueError, KeyError, TypeError):
-        return None
+def ops_from_json(ops_json: Sequence) -> tuple[Op, ...]:
+    """The inverse of :func:`ops_to_json` (tuples, ready for ``apply_ops``);
+    ``ValueError`` or ``TypeError`` when ``ops_json`` is malformed."""
     ops: list[Op] = []
     for entry in ops_json:
-        if not isinstance(entry, list) or len(entry) != 2:
-            return None
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"malformed op {entry!r}")
         kind, payload = entry
         if kind == OP_INSERT:
             ops.append((OP_INSERT, tuple(tuple(e) for e in payload)))
         elif kind == OP_EXPIRE:
             ops.append((OP_EXPIRE, int(payload)))
         else:
-            return None
-    if zlib.crc32(_canonical(lsn, ops, epoch).encode("utf-8")) != crc:
+            raise ValueError(f"unknown op kind {kind!r}")
+    return tuple(ops)
+
+
+def _canonical(values: Sequence) -> bytes:
+    body = json.dumps(list(values), separators=(",", ":"), sort_keys=True)
+    return body.encode("utf-8")
+
+
+def frame_line(fields: dict, sort_keys: bool) -> str:
+    """One CRC-framed line (no trailing newline): ``fields`` plus ``crc``,
+    the CRC32 of the canonical JSON list of the field values in order."""
+    crc = zlib.crc32(_canonical(fields.values()))
+    return json.dumps(
+        {**fields, "crc": crc}, separators=(",", ":"), sort_keys=sort_keys
+    )
+
+
+def unframe_line(line: str, keys: Sequence[str]) -> dict | None:
+    """The parsed line when it carries every key in ``keys`` and its
+    ``crc`` matches their values; ``None`` when it is torn or corrupt."""
+    try:
+        doc = json.loads(line)
+        values = [doc[k] for k in keys]
+        crc = doc["crc"]
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
-    return WalRecord(lsn=int(lsn), ops=tuple(ops), epoch=int(epoch))
+    return doc if zlib.crc32(_canonical(values)) == crc else None
+
+
+def encode_record(lsn: int, ops: Sequence[Op], epoch: int = 0) -> str:
+    """One WAL line (no trailing newline) for ``ops`` at ``lsn``."""
+    return frame_line(
+        {"lsn": lsn, "epoch": epoch, "ops": ops_to_json(ops)}, sort_keys=False
+    )
+
+
+def decode_record(line: str) -> WalRecord | None:
+    """Parse one WAL line; ``None`` when the line is torn or corrupt
+    (including a record without an ``epoch`` field)."""
+    doc = unframe_line(line, ("lsn", "epoch", "ops"))
+    if doc is None:
+        return None
+    try:
+        return WalRecord(
+            lsn=int(doc["lsn"]),
+            ops=ops_from_json(doc["ops"]),
+            epoch=int(doc["epoch"]),
+        )
+    except (ValueError, TypeError):
+        return None
 
 
 def _parse_header(line: bytes) -> int | None:
     """The segment's start LSN, or ``None`` when the header is invalid."""
     try:
         header = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
-    if not isinstance(header, dict):
+    if not isinstance(header, dict) or header.get("wal") != WAL_SCHEMA:
         return None
-    if header.get("wal") == WAL_SCHEMA:
-        start = header.get("start", 0)
-        return int(start) if isinstance(start, int) and start >= 0 else None
-    return None
+    start = header.get("start", 0)
+    return int(start) if isinstance(start, int) and start >= 0 else None
+
+
+def _complete_lines(raw: bytes) -> Iterator[tuple[bytes, int]]:
+    """Each newline-terminated line of ``raw`` with the offset just past
+    its newline.  A final line without one is a torn tail -- the append
+    that wrote it never finished, even if its bytes decode cleanly -- and
+    is not yielded: counting it would let a reopened log append onto the
+    same line, corrupting the next record."""
+    start = 0
+    while (end := raw.find(b"\n", start)) >= 0:
+        yield raw[start:end], end + 1
+        start = end + 1
+
+
+def scan_lines(
+    path: pathlib.Path,
+    io: StorageIO,
+    label: str,
+    parse_header: Callable[[bytes], Any],
+    decode: Callable[[str], Any],
+    error: type[Exception],
+) -> tuple[Any, list, int]:
+    """``(header, records, good_bytes)`` of the durable-line file at ``path``.
+
+    The first non-empty complete line is the header; every later one is
+    a record.  ``good_bytes`` is the length of the durable prefix (0 when
+    no complete header exists); everything past it is a torn tail, safe
+    to truncate.  A bad header or a record that ``decode`` rejects
+    *before* the tail raises ``error``: the file was edited, not torn.
+    """
+    if not path.exists():
+        return None, [], 0
+    header = None
+    records: list = []
+    good = 0
+    for line, end in _complete_lines(io.read_bytes(path)):
+        good = end
+        if not line:
+            continue
+        if header is None:
+            header = parse_header(line)
+            if header is None:
+                raise error(f"{path}: missing or bad {label} header")
+            continue
+        rec = decode(line.decode("utf-8", errors="replace"))
+        if rec is None:
+            raise error(
+                f"{path}: corrupt record after {len(records)} good records"
+            )
+        records.append(rec)
+    return header, records, good if header is not None else 0
 
 
 def read_wal(
@@ -205,54 +277,26 @@ def read_wal(
     """Read every durable record of the one-file log (segment) at ``path``.
 
     Returns ``(records, good_bytes)`` where ``good_bytes`` is the byte
-    length of the durable prefix -- everything past it is a torn tail from
-    a crash mid-append and is safe to truncate.  Raises
+    length of the durable prefix (see :func:`scan_lines`).  Raises
     :class:`WalCorruption` when a record *before* the tail is damaged, the
     LSN sequence has a gap, or epochs decrease (all mean the file was
     edited, not torn).
     """
     path = pathlib.Path(path)
-    if not path.exists():
-        return [], 0
-    raw = (io or REAL_IO).read_bytes(path)
-    records: list[WalRecord] = []
-    good = 0
-    start: int | None = None
-    for line in raw.split(b"\n"):
-        end = good + len(line) + 1  # +1 for the newline
-        if not line:
-            good = min(end, len(raw))
-            continue
-        if end > len(raw):
-            # The final line is missing its trailing newline, so the append
-            # that wrote it never finished -- even bytes that happen to
-            # decode cleanly are a torn tail, never durable.  (Counting
-            # them would let the reopened log append onto the same line,
-            # corrupting the next record.)
-            break
-        if start is None:
-            start = _parse_header(line)
-            if start is None:
-                raise WalCorruption(f"{path}: missing or bad WAL header")
-            good = end
-            continue
-        rec = decode_record(line.decode("utf-8", errors="replace"))
-        if rec is None:
+    start, records, good = scan_lines(
+        path, io or REAL_IO, "WAL", _parse_header, decode_record, WalCorruption
+    )
+    for i, rec in enumerate(records):
+        if rec.lsn != start + i:
             raise WalCorruption(
-                f"{path}: corrupt record after {len(records)} good records"
+                f"{path}: LSN gap, expected {start + i} got {rec.lsn}"
             )
-        if rec.lsn != start + len(records):
-            raise WalCorruption(
-                f"{path}: LSN gap, expected {start + len(records)} got {rec.lsn}"
-            )
-        if records and rec.epoch < records[-1].epoch:
+        if i and rec.epoch < records[i - 1].epoch:
             raise WalCorruption(
                 f"{path}: epoch went backwards at lsn {rec.lsn} "
-                f"({records[-1].epoch} -> {rec.epoch})"
+                f"({records[i - 1].epoch} -> {rec.epoch})"
             )
-        records.append(rec)
-        good = end
-    return records, min(good, len(raw))
+    return records, good
 
 
 def list_segments(directory: str | pathlib.Path) -> list[SegmentInfo]:
@@ -340,19 +384,93 @@ def read_records_from(
     return chain[start_lsn - base :]
 
 
-class WriteAheadLog:
+class LineLog:
+    """Append handle on a durable-line file: the WAL's crash contract.
+
+    Opened after a :func:`scan_lines` of ``path`` found a durable prefix
+    of ``good`` bytes: a torn tail past it is truncated away, and an
+    empty file gets ``header`` as its first line.  :meth:`append_line`
+    keeps the "append returned means durable" contract: on *any* failure
+    -- transient write error, torn write, failed fsync -- the file is
+    truncated back to the durable prefix before the exception
+    propagates, so the half-written line vanishes and a retry appends
+    onto a clean tail.  (After a successful write but failed fsync the
+    line's durability is unknown; discarding it is the only answer that
+    keeps the contract.)  Not thread-safe by itself.
+    """
+
+    def __init__(
+        self,
+        path: str | pathlib.Path,
+        good: int,
+        header: str,
+        fsync: bool = False,
+        io: StorageIO | None = None,
+    ) -> None:
+        self.path = pathlib.Path(path)
+        self.fsync = fsync
+        self._io = io or REAL_IO
+        if self.path.exists() and good < self.path.stat().st_size:
+            with self.path.open("r+b") as f:
+                self._io.truncate(f, good)
+                if fsync:
+                    self._io.fsync(f)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._f = self.path.open("ab")
+        self._good = good
+        if not good:
+            try:
+                self.append_line(header)
+                if fsync:
+                    self._io.fsync_dir(self.path.parent)
+            except Exception:
+                # A torn header is self-repairing: the next open finds no
+                # newline-terminated header line, truncates to zero, and
+                # rewrites it.  Just do not leak the handle.
+                self._f.close()
+                raise
+
+    @property
+    def bytes_written(self) -> int:
+        """Durable size of the file in bytes."""
+        return self._good if not self._f.closed else self.path.stat().st_size
+
+    def append_line(self, line: str) -> None:
+        """Append ``line`` plus its newline; returns once it is durable."""
+        if self._f.closed:
+            raise ValueError(f"{self.path} is closed")
+        data = (line + "\n").encode("utf-8")
+        try:
+            self._io.append(self._f, data)
+            if self.fsync:
+                self._io.fsync(self._f)
+        except Exception:
+            self._io.truncate(self._f, self._good)
+            raise
+        self._good += len(data)
+
+    def close(self) -> None:
+        """Flush and close the underlying file (idempotent)."""
+        if not self._f.closed:
+            self._f.flush()
+            self._f.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+class WriteAheadLog(LineLog):
     """Appendable single-file WAL handle (one segment).
 
     Opening an existing log scans it, repairs a torn tail (truncating to
     the durable prefix), and resumes the LSN sequence; opening a fresh
-    path writes the schema header.  ``append`` is not thread-safe by
-    itself -- :class:`~repro.service.service.StreamService` serializes all
-    appends behind its single-writer lock.
-
-    The appender tracks the byte offset of its durable prefix; when an
-    append fails partway (transient error, torn write, failed fsync) it
-    truncates back to that offset before re-raising, so the failed
-    record vanishes entirely and a retry starts from a clean tail.
+    path writes the schema header.  A failed :meth:`append` leaves no
+    trace of its record (see :class:`LineLog`).  ``append`` is not
+    thread-safe by itself -- :class:`~repro.service.service.StreamService`
+    serializes all appends behind its single-writer lock.
     """
 
     def __init__(
@@ -362,38 +480,12 @@ class WriteAheadLog:
         start: int = 0,
         io: StorageIO | None = None,
     ) -> None:
-        self.path = pathlib.Path(path)
-        self.fsync = fsync
-        self._io = io or REAL_IO
-        records, good = read_wal(self.path, self._io)
-        if self.path.exists() and good < self.path.stat().st_size:
-            with self.path.open("r+b") as f:
-                self._io.truncate(f, good)
-                if fsync:
-                    self._io.fsync(f)
+        records, good = read_wal(path, io)
         self.start = records[0].lsn if records else start
         self._next_lsn = self.start + len(records)
         self._last_epoch = records[-1].epoch if records else 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = self.path.open("ab")
-        self._good = 0 if fresh else good
-        if fresh:
-            header = (
-                json.dumps({"wal": WAL_SCHEMA, "start": self.start}) + "\n"
-            ).encode("utf-8")
-            try:
-                self._io.append(self._f, header)
-                if fsync:
-                    self._io.fsync(self._f)
-                    self._io.fsync_dir(self.path.parent)
-            except Exception:
-                # A torn header is self-repairing: the next open finds no
-                # newline-terminated header line, truncates to zero, and
-                # rewrites it.  Just do not leak the handle.
-                self._f.close()
-                raise
-            self._good = len(header)
+        header = json.dumps({"wal": WAL_SCHEMA, "start": self.start})
+        super().__init__(path, good, header, fsync=fsync, io=io)
 
     @property
     def next_lsn(self) -> int:
@@ -405,38 +497,18 @@ class WriteAheadLog:
         """Epoch of the newest durable record (0 for an empty log)."""
         return self._last_epoch
 
-    @property
-    def bytes_written(self) -> int:
-        """Durable size of the log file in bytes."""
-        return self._good if not self._f.closed else self.path.stat().st_size
-
     def append(self, ops: Sequence[Op], epoch: int = 0) -> int:
         """Append one round; returns its LSN once the line is durable.
 
-        On *any* failure -- transient write error, torn write, failed
-        fsync -- the file is truncated back to the durable prefix before
-        the exception propagates: the half-written record is gone, the
-        LSN is not consumed, and a retry re-appends cleanly.  (After a
-        successful write but failed fsync the record's durability is
-        unknown; discarding it is the only answer that keeps the
-        "append returned means durable" contract.)
+        On failure the record is gone and the LSN is not consumed, so a
+        retry re-appends cleanly.
         """
-        if self._f.closed:
-            raise ValueError("write-ahead log is closed")
         if epoch < self._last_epoch:
             raise ValueError(
                 f"epoch must be monotone: {self._last_epoch} -> {epoch}"
             )
         lsn = self._next_lsn
-        line = (encode_record(lsn, ops, epoch=epoch) + "\n").encode("utf-8")
-        try:
-            self._io.append(self._f, line)
-            if self.fsync:
-                self._io.fsync(self._f)
-        except Exception:
-            self._io.truncate(self._f, self._good)
-            raise
-        self._good += len(line)
+        self.append_line(encode_record(lsn, ops, epoch=epoch))
         self._next_lsn += 1
         self._last_epoch = epoch
         return lsn
@@ -446,18 +518,6 @@ class WriteAheadLog:
         self._f.flush()
         records, _ = read_wal(self.path, self._io)
         return records
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if not self._f.closed:
-            self._f.flush()
-            self._f.close()
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 def _segment_path(
@@ -736,8 +796,6 @@ class WalCursor:
             s for s in list_segments(self.directory) if s.start <= self.next_lsn
         ]
         if not candidates:
-            if any(list_segments(self.directory)):
-                return None
             return None
         return max(candidates, key=lambda s: (s.epoch, s.start))
 
@@ -768,8 +826,6 @@ class WalCursor:
                 self._offset = 0
             try:
                 got = self._poll_segment(max_records, out)
-            except WalTruncated:
-                raise
             except OSError:
                 # A transient read fault mid-poll.  If earlier iterations
                 # already shipped records, the cursor has advanced past
@@ -803,10 +859,8 @@ class WalCursor:
         # RetryPolicy) simply polls again.
         progressed = False
         consumed = 0
-        for line in raw.split(b"\n"):
-            end = consumed + len(line) + 1
-            if end > len(raw):
-                break  # incomplete tail: wait for the newline
+        # An incomplete tail is not yielded: wait for its newline.
+        for line, end in _complete_lines(raw):
             if not line:
                 consumed = end
                 continue

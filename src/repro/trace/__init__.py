@@ -1,30 +1,21 @@
 """Trace capture and deterministic replay for the streaming service.
 
 The subsystem that turns benchmarks from one-off numbers into
-replayable regression gates (ROADMAP item 4):
+replayable regression gates:
 
 - :mod:`repro.trace.record` -- the versioned, CRC-checked JSONL trace
-  format (the WAL's crash contract applied to workloads);
+  format (the WAL's durable-line file with a trace header and events);
 - :mod:`repro.trace.recorder` -- the live capture hook
   ``ServiceConfig(recorder=...)`` / ``QueryService(recorder=...)``
   attach to a running pipeline;
 - :mod:`repro.trace.replay` -- the deterministic replayer driving any
-  service configuration through a recorded workload at 1x/Nx speed
-  under seeded virtual time, with byte-identity oracles;
-- :mod:`repro.trace.control` -- the adaptive-ops loop (flush deadline
-  and replication budget tuned from observed p99s) whose decisions are
-  themselves trace events.
+  service configuration through a recorded workload, with byte-identity
+  oracles.
 
 ``scripts/gate.py`` builds the CI regression gates on top; the format
 and contracts are documented in ``docs/tracing.md``.
 """
 
-from repro.trace.control import (
-    AdaptiveController,
-    ControlConfig,
-    Decision,
-    ScriptedController,
-)
 from repro.trace.record import (
     TRACE_SCHEMA,
     TraceCorruption,
@@ -32,17 +23,13 @@ from repro.trace.record import (
     TraceWriter,
     decode_event,
     encode_event,
-    ops_from_json,
-    ops_to_json,
     read_trace,
-    trace_summary,
 )
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import (
     ReplayConfig,
     ReplayResult,
     TraceReplayer,
-    VirtualClock,
     factory_from_meta,
     replay_trace,
     state_fingerprint,
@@ -51,26 +38,18 @@ from repro.trace.replay import (
 
 __all__ = [
     "TRACE_SCHEMA",
-    "AdaptiveController",
-    "ControlConfig",
-    "Decision",
     "ReplayConfig",
     "ReplayResult",
-    "ScriptedController",
     "TraceCorruption",
     "TraceEvent",
     "TraceRecorder",
     "TraceReplayer",
     "TraceWriter",
-    "VirtualClock",
     "decode_event",
     "encode_event",
     "factory_from_meta",
-    "ops_from_json",
-    "ops_to_json",
     "read_trace",
     "replay_trace",
     "state_fingerprint",
     "trace_oracle",
-    "trace_summary",
 ]

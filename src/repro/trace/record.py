@@ -2,19 +2,20 @@
 
 A *trace* is the workload twin of the WAL: where the WAL records what the
 service **committed**, a trace records what clients **asked for** -- write
-rounds with their arrival timestamps, read batches with their consistency
-levels, and (for tuning runs) the adaptive controller's knob decisions --
-so a benchmark or soak can be replayed, at any speed, against any
+rounds with their arrival timestamps and read batches with their
+consistency levels -- so a benchmark or soak can be replayed against any
 :class:`~repro.service.service.ServiceConfig`, instead of re-rolling a
 synthetic generator and hoping it exercises the same code paths.
 
-The on-disk format follows the WAL's crash contract exactly (one JSON
-record per line, a schema header, CRC32 over the canonical body, torn
-tail repaired on open):
+A trace file *is* a WAL-style durable-line file: the header line,
+CRC framing, torn-tail repair and truncate-on-failed-append are the
+ones :mod:`repro.service.wal` defines (:func:`~repro.service.wal.scan_lines`,
+:class:`~repro.service.wal.LineLog`), with a different header and
+record shape:
 
-    {"trace": "repro.trace/v1", "meta": {...}}
-    {"seq": 0, "t_us": 0, "kind": "write", "body": {...}, "crc": ...}
-    {"seq": 1, "t_us": 5000, "kind": "read", "body": {...}, "crc": ...}
+    {"meta": {...}, "trace": "repro.trace/v1"}
+    {"body": {...}, "crc": ..., "kind": "write", "seq": 0, "t_us": 0}
+    {"body": {...}, "crc": ..., "kind": "read", "seq": 1, "t_us": 5000}
 
 Event kinds:
 
@@ -22,45 +23,29 @@ Event kinds:
   list (``["i", edges]`` / ``["e", delta]``) and ``body["lsn"]`` the LSN
   it committed as on the recording service;
 - ``read``: one answered query batch -- ``body["queries"]`` plus the
-  requested consistency (``at_least`` token / ``max_staleness`` bound);
-- ``control``: one adaptive-ops decision -- ``body["knob"]``,
-  ``body["value"]``, the triggering observation, and a human reason, so
-  a tuning run is reproducible from its own trace
-  (:class:`repro.trace.control.ScriptedController` replays them).
+  requested consistency (``at_least`` token / ``max_staleness`` bound).
 
-Timestamps are integer **microseconds since the trace started**
-(``t_us``), monotone non-decreasing; the replayer divides them by the
-replay speed to get virtual arrival times.  All durable bytes route
-through the :class:`~repro.service.storage.StorageIO` seam, so the trace
-writer is testable under :class:`~repro.chaos.faults.FaultyIO` like every
-other durable component.
-
-Crash semantics (mirroring ``repro.service.wal``):
-
-- an event is durable once its line, trailing newline included, is on
-  disk;
-- a final line missing its newline is a *torn tail* from a crash
-  mid-append: :class:`TraceWriter` repairs it on open by truncating back
-  to the last durable event, and :func:`read_trace` silently stops
-  before it;
-- a bad record anywhere before the tail raises :class:`TraceCorruption`.
+Any other kind is a corrupt record.  Timestamps are integer
+**microseconds since the trace started** (``t_us``), monotone
+non-decreasing.  All durable bytes route through the
+:class:`~repro.service.storage.StorageIO` seam, so the trace writer is
+testable under :class:`~repro.chaos.faults.FaultyIO` like every other
+durable component.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.service.storage import REAL_IO, StorageIO
-from repro.service.wal import OP_EXPIRE, OP_INSERT, Op
+from repro.service.wal import LineLog, frame_line, scan_lines, unframe_line
 
 TRACE_SCHEMA = "repro.trace/v1"
 
 #: Event kinds a v1 trace may contain.
-EVENT_KINDS = ("write", "read", "control")
+EVENT_KINDS = ("write", "read")
 
 
 class TraceCorruption(RuntimeError):
@@ -77,84 +62,37 @@ class TraceEvent:
     body: dict = field(default_factory=dict)
 
 
-def ops_to_json(ops: Sequence[Op]) -> list[list]:
-    """WAL ops as the JSON shape traces and the WAL share."""
-    out: list[list] = []
-    for kind, payload in ops:
-        if kind == OP_INSERT:
-            out.append([kind, [list(e) for e in payload]])
-        elif kind == OP_EXPIRE:
-            out.append([kind, int(payload)])
-        else:
-            raise ValueError(f"unknown op kind {kind!r}")
-    return out
-
-
-def ops_from_json(ops_json: Sequence) -> tuple[Op, ...]:
-    """The inverse of :func:`ops_to_json` (tuples, ready for apply_ops)."""
-    ops: list[Op] = []
-    for entry in ops_json:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"malformed trace op {entry!r}")
-        kind, payload = entry
-        if kind == OP_INSERT:
-            ops.append((OP_INSERT, tuple(tuple(e) for e in payload)))
-        elif kind == OP_EXPIRE:
-            ops.append((OP_EXPIRE, int(payload)))
-        else:
-            raise ValueError(f"unknown op kind {kind!r}")
-    return tuple(ops)
-
-
-def _canonical(seq: int, t_us: int, kind: str, body: dict) -> str:
-    return json.dumps(
-        [seq, t_us, kind, body], separators=(",", ":"), sort_keys=True
-    )
+_KEYS = ("seq", "t_us", "kind", "body")
 
 
 def encode_event(event: TraceEvent) -> str:
     """One trace line (no trailing newline) for ``event``."""
     if event.kind not in EVENT_KINDS:
         raise ValueError(f"unknown trace event kind {event.kind!r}")
-    crc = zlib.crc32(
-        _canonical(event.seq, event.t_us, event.kind, event.body).encode()
-    )
-    return json.dumps(
-        {
-            "seq": event.seq,
-            "t_us": event.t_us,
-            "kind": event.kind,
-            "body": event.body,
-            "crc": crc,
-        },
-        separators=(",", ":"),
-        sort_keys=True,
+    return frame_line(
+        {k: getattr(event, k) for k in _KEYS}, sort_keys=True
     )
 
 
 def decode_event(line: str) -> TraceEvent | None:
     """Parse one trace line; ``None`` when it is torn or corrupt."""
+    doc = unframe_line(line, _KEYS)
+    if doc is None or doc["kind"] not in EVENT_KINDS:
+        return None
+    if not isinstance(doc["body"], dict):
+        return None
     try:
-        doc = json.loads(line)
-        seq = doc["seq"]
-        t_us = doc["t_us"]
-        kind = doc["kind"]
-        body = doc["body"]
-        crc = doc["crc"]
-    except (ValueError, KeyError, TypeError):
+        seq, t_us = int(doc["seq"]), int(doc["t_us"])
+    except (ValueError, TypeError):
         return None
-    if kind not in EVENT_KINDS or not isinstance(body, dict):
-        return None
-    if zlib.crc32(_canonical(seq, t_us, kind, body).encode()) != crc:
-        return None
-    return TraceEvent(seq=int(seq), t_us=int(t_us), kind=kind, body=body)
+    return TraceEvent(seq=seq, t_us=t_us, kind=doc["kind"], body=doc["body"])
 
 
 def _parse_header(line: bytes) -> dict | None:
     """The trace meta dict, or ``None`` when the header is invalid."""
     try:
         header = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(header, dict) or header.get("trace") != TRACE_SCHEMA:
         return None
@@ -180,53 +118,27 @@ def _scan(
     path: pathlib.Path, io: StorageIO
 ) -> tuple[dict, list[TraceEvent], int]:
     """``(meta, events, good_bytes)`` of the durable prefix at ``path``."""
-    if not path.exists():
-        return {}, [], 0
-    raw = io.read_bytes(path)
-    events: list[TraceEvent] = []
-    meta: dict | None = None
-    good = 0
-    for line in raw.split(b"\n"):
-        end = good + len(line) + 1
-        if not line:
-            good = min(end, len(raw))
-            continue
-        if end > len(raw):
-            break  # torn tail: the append that wrote it never finished
-        if meta is None:
-            meta = _parse_header(line)
-            if meta is None:
-                raise TraceCorruption(f"{path}: missing or bad trace header")
-            good = end
-            continue
-        ev = decode_event(line.decode("utf-8", errors="replace"))
-        if ev is None:
-            raise TraceCorruption(
-                f"{path}: corrupt record after {len(events)} good events"
-            )
-        if ev.seq != len(events):
-            raise TraceCorruption(
-                f"{path}: seq gap, expected {len(events)} got {ev.seq}"
-            )
-        if events and ev.t_us < events[-1].t_us:
+    meta, events, good = scan_lines(
+        path, io, "trace", _parse_header, decode_event, TraceCorruption
+    )
+    for i, ev in enumerate(events):
+        if ev.seq != i:
+            raise TraceCorruption(f"{path}: seq gap, expected {i} got {ev.seq}")
+        if i and ev.t_us < events[i - 1].t_us:
             raise TraceCorruption(
                 f"{path}: time went backwards at seq {ev.seq} "
-                f"({events[-1].t_us} -> {ev.t_us})"
+                f"({events[i - 1].t_us} -> {ev.t_us})"
             )
-        events.append(ev)
-        good = end
-    return meta or {}, events, min(good, len(raw))
+    return meta or {}, events, good
 
 
-class TraceWriter:
-    """Appendable trace handle with the WAL's torn-tail repair on open.
+class TraceWriter(LineLog):
+    """Appendable trace handle with the WAL's crash contract.
 
     Opening an existing trace scans it, truncates a torn tail back to the
     last durable event, and resumes the ``seq`` sequence; opening a fresh
-    path writes the schema header with ``meta``.  ``append`` follows the
-    WAL append contract: on any failure (transient error, torn write,
-    failed fsync) the file is truncated back to the durable prefix before
-    the exception propagates, so a retry appends onto a clean tail.
+    path writes the schema header with ``meta``.  A failed :meth:`append`
+    leaves no trace of its event (see :class:`~repro.service.wal.LineLog`).
 
     Not thread-safe by itself; :class:`repro.trace.recorder.TraceRecorder`
     adds the lock (and the clock).
@@ -239,112 +151,34 @@ class TraceWriter:
         fsync: bool = False,
         io: StorageIO | None = None,
     ) -> None:
-        self.path = pathlib.Path(path)
-        self.fsync = fsync
-        self._io = io or REAL_IO
-        found_meta, events, good = _scan(self.path, self._io)
-        if self.path.exists() and good < self.path.stat().st_size:
-            with self.path.open("r+b") as f:
-                self._io.truncate(f, good)
-                if fsync:
-                    self._io.fsync(f)
-        self.meta = found_meta if events or good else dict(meta or {})
+        found_meta, events, good = _scan(pathlib.Path(path), io or REAL_IO)
+        self.meta = found_meta if good else dict(meta or {})
         self._next_seq = len(events)
         self._last_t_us = events[-1].t_us if events else 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = self.path.open("ab")
-        self._good = 0 if fresh else good
-        if fresh:
-            header = (
-                json.dumps(
-                    {"trace": TRACE_SCHEMA, "meta": self.meta},
-                    separators=(",", ":"),
-                    sort_keys=True,
-                )
-                + "\n"
-            ).encode("utf-8")
-            try:
-                self._io.append(self._f, header)
-                if fsync:
-                    self._io.fsync(self._f)
-                    self._io.fsync_dir(self.path.parent)
-            except Exception:
-                # A torn header self-repairs on the next open (no newline-
-                # terminated header -> truncate to zero, rewrite).
-                self._f.close()
-                raise
-            self._good = len(header)
+        header = json.dumps(
+            {"trace": TRACE_SCHEMA, "meta": self.meta},
+            separators=(",", ":"),
+            sort_keys=True,
+        )
+        super().__init__(path, good, header, fsync=fsync, io=io)
 
     @property
     def next_seq(self) -> int:
         """The sequence number the next :meth:`append` will carry."""
         return self._next_seq
 
-    @property
-    def bytes_written(self) -> int:
-        """Durable size of the trace file in bytes."""
-        return self._good if not self._f.closed else self.path.stat().st_size
-
     def append(self, t_us: int, kind: str, body: dict) -> TraceEvent:
         """Append one event; returns it once the line is durable.
 
-        ``t_us`` is clamped monotone (arrival times never go backwards);
-        on any write failure the file is repaired back to the durable
-        prefix before the exception propagates.
+        ``t_us`` is clamped monotone (arrival times never go backwards).
         """
-        if self._f.closed:
-            raise ValueError("trace writer is closed")
         ev = TraceEvent(
             seq=self._next_seq,
             t_us=max(int(t_us), self._last_t_us),
             kind=kind,
             body=body,
         )
-        line = (encode_event(ev) + "\n").encode("utf-8")
-        try:
-            self._io.append(self._f, line)
-            if self.fsync:
-                self._io.fsync(self._f)
-        except Exception:
-            self._io.truncate(self._f, self._good)
-            raise
-        self._good += len(line)
+        self.append_line(encode_event(ev))
         self._next_seq += 1
         self._last_t_us = ev.t_us
         return ev
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if not self._f.closed:
-            self._f.flush()
-            self._f.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def trace_summary(path: str | pathlib.Path) -> dict:
-    """One-glance stats of a trace file (event counts per kind, span).
-
-    Returns zeros for a missing or empty trace; raises
-    :class:`TraceCorruption` for a damaged one, like :func:`read_trace`.
-    """
-    meta, events = read_trace(path)
-    counts = {k: 0 for k in EVENT_KINDS}
-    ops = 0
-    for ev in events:
-        counts[ev.kind] += 1
-        if ev.kind == "write":
-            for kind, payload in ops_from_json(ev.body.get("ops", [])):
-                ops += len(payload) if kind == OP_INSERT else 1
-    return {
-        "events": len(events),
-        "kinds": counts,
-        "items": ops,
-        "duration_us": events[-1].t_us if events else 0,
-        "meta": meta,
-    }

@@ -44,8 +44,8 @@ from typing import Callable, Sequence
 
 from repro.obs.metrics import get_metrics
 from repro.service.storage import StorageIO
-from repro.service.wal import Op
-from repro.trace.record import TraceEvent, TraceWriter, ops_to_json
+from repro.service.wal import Op, ops_to_json
+from repro.trace.record import TraceEvent, TraceWriter
 
 
 class TraceRecorder:
@@ -135,30 +135,6 @@ class TraceRecorder:
         if max_staleness is not None:
             body["max_staleness"] = int(max_staleness)
         return self._append("read", body)
-
-    def record_control(
-        self,
-        knob: str,
-        value: float,
-        reason: str = "",
-        observed: float | None = None,
-        at: int | None = None,
-    ) -> TraceEvent:
-        """Record one adaptive-controller decision (knob, new value, why).
-
-        ``at`` anchors the decision to the workload-trace event sequence
-        number that triggered it, so a tuning run recorded into a *side*
-        trace still replays decision-for-decision via
-        :class:`repro.trace.control.ScriptedController` (which reads
-        ``body["at"]``, falling back to the control event's own seq when
-        decisions were recorded inline with the workload).
-        """
-        body: dict = {"knob": knob, "value": value, "reason": reason}
-        if observed is not None:
-            body["observed"] = observed
-        if at is not None:
-            body["at"] = int(at)
-        return self._append("control", body)
 
     def close(self) -> None:
         """Flush and close the trace file (idempotent)."""

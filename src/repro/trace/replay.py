@@ -6,10 +6,10 @@
 deadline, follower count, retry policy -- through exactly the
 recorded workload: every write event commits as a round, every read
 event re-issues its query batch with the recorded consistency bounds,
-and arrival timestamps advance a seeded :class:`VirtualClock` at
-``speed``\\ x real time.  No background threads, no wall-clock sleeps:
-replication is ticked per event (like the chaos driver), so two replays
-of one trace do the same work in the same order.
+and each event's recorded ``t_us`` is the replay's clock.  No background
+threads, no wall-clock sleeps: replication is ticked per event (like the
+chaos driver), so two replays of one trace do the same work in the same
+order.
 
 The determinism contract, and who checks it:
 
@@ -31,18 +31,11 @@ The determinism contract, and who checks it:
 :func:`state_fingerprint` is the comparison key: logical state (window
 size, component count, forest edge set) plus the RC-tree's byte-level
 snapshot, the same shape the chaos suite asserts convergence with.
-
-An attached controller (:class:`repro.trace.control.AdaptiveController`
-live, or :class:`~repro.trace.control.ScriptedController` replaying a
-recorded tuning run) observes per-round latency and follower lag and
-adjusts the virtual flush deadline and the per-tick replication budget
-as the replay progresses.
 """
 
 from __future__ import annotations
 
 import pathlib
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -52,52 +45,13 @@ from repro.obs.metrics import get_metrics
 from repro.replication.replicated import ReplicatedService
 from repro.service.query import QueryService
 from repro.service.service import ServiceConfig, apply_ops
-from repro.service.wal import WalTruncated
-from repro.trace.record import TraceEvent, ops_from_json, read_trace
-
-
-class VirtualClock:
-    """Seeded virtual time for replay: recorded microseconds, scaled.
-
-    ``advance_to(t_us)`` moves virtual now to the event's recorded
-    arrival time divided by ``speed`` (``speed=2.0`` replays twice as
-    fast), plus an optional deterministic jitter of up to ``jitter_us``
-    drawn from the seeded generator -- the knob for "same trace, slightly
-    perturbed arrivals" sensitivity runs.  Never sleeps; the replayer is
-    deterministic precisely because time is data here, not a scheduler.
-    """
-
-    def __init__(
-        self, speed: float = 1.0, seed: int = 0, jitter_us: int = 0
-    ) -> None:
-        if speed <= 0:
-            raise ValueError("speed must be > 0")
-        self.speed = float(speed)
-        self.jitter_us = int(jitter_us)
-        self._rng = random.Random(seed)
-        self._now_us = 0
-
-    @property
-    def now_us(self) -> int:
-        """Virtual microseconds since the replay started."""
-        return self._now_us
-
-    def now(self) -> float:
-        """Virtual seconds (the shape a recorder ``clock`` wants)."""
-        return self._now_us / 1e6
-
-    def advance_to(self, t_us: int) -> int:
-        """Move virtual time to the recorded instant ``t_us`` (scaled)."""
-        target = int(t_us / self.speed)
-        if self.jitter_us:
-            target += self._rng.randint(0, self.jitter_us)
-        self._now_us = max(self._now_us, target)
-        return self._now_us
+from repro.service.wal import WalTruncated, ops_from_json
+from repro.trace.record import TraceEvent, read_trace
 
 
 @dataclass
 class ReplayConfig:
-    """How to replay a trace (what service to drive, and how fast).
+    """How to replay a trace (what service to drive, and how).
 
     Attributes:
         followers: read replicas to attach (0: reads hit the primary,
@@ -105,31 +59,17 @@ class ReplayConfig:
         service: the primary's :class:`ServiceConfig` (``None``: a
             replay-friendly default with snapshots *disabled* so the
             full WAL chain is retained for the byte-identity check).
-        speed: virtual-time multiplier (2.0 = replay twice as fast).
-        seed: seeds the virtual clock's jitter stream.
-        jitter_us: max deterministic arrival jitter per event (0: exact
-            recorded arrivals).
         preserve_rounds: commit each recorded write event as one round
             with its op structure intact (the byte-identity mode).
             ``False`` re-batches ops under the target config's flush
             policy -- round boundaries then differ from the recording,
             and determinism is asserted against the replay's own WAL
             only.
-        replication_budget: max rounds a follower ships per tick
-            (``None``: unbounded; a controller's ``budget`` overrides).
-        on_lag: the :class:`~repro.service.query.QueryService` lag
-            policy for replayed reads (default ``"catch_up"``, the
-            deterministic one).
     """
 
     followers: int = 0
     service: ServiceConfig | None = None
-    speed: float = 1.0
-    seed: int = 0
-    jitter_us: int = 0
     preserve_rounds: bool = True
-    replication_budget: int | None = None
-    on_lag: str = "catch_up"
 
 
 @dataclass(frozen=True)
@@ -140,7 +80,7 @@ class ReplayResult:
     :func:`state_fingerprint`; ``deterministic`` reports the WAL-oracle
     byte-identity check (``None`` when the WAL chain was truncated by
     snapshots, so the check could not run).  Latencies are real
-    milliseconds of replay work (virtual time never appears in them).
+    milliseconds of replay work (recorded time never appears in them).
     """
 
     fingerprint: tuple
@@ -155,7 +95,6 @@ class ReplayResult:
     reads_per_s: float
     wall_s: float
     deterministic: bool | None
-    decisions: tuple = ()
     stats: dict = field(default_factory=dict)
 
 
@@ -245,9 +184,6 @@ class TraceReplayer:
         config: a :class:`ReplayConfig`; defaults throughout.
         data_dir: WAL/snapshot directory for the replayed service (a
             fresh temp-ish directory per replay; must be empty).
-        controller: optional adaptive controller (live or scripted);
-            its ``flush_interval`` steers the virtual flush deadline in
-            re-batching mode and its ``budget`` caps replication ticks.
         chaos: optional :class:`~repro.chaos.schedule.ChaosSchedule` to
             fire while replaying (``preserve_rounds`` only); composes
             with ``faults`` exactly as the chaos soak does.
@@ -262,7 +198,6 @@ class TraceReplayer:
         factory: Callable[[], Any] | None = None,
         config: ReplayConfig | None = None,
         data_dir: str | pathlib.Path | None = None,
-        controller: Any | None = None,
         chaos: ChaosSchedule | None = None,
         faults: Any | None = None,
     ) -> None:
@@ -279,7 +214,6 @@ class TraceReplayer:
                 "replay needs a fresh data_dir for the replayed WAL"
             )
         self.data_dir = pathlib.Path(data_dir)
-        self.controller = controller
         self.chaos = chaos
         self.faults = faults
         if chaos is not None and not self.config.preserve_rounds:
@@ -302,9 +236,6 @@ class TraceReplayer:
         result (and the on-disk WAL in ``data_dir``) is the output.
         """
         cfg = self.config
-        clock = VirtualClock(
-            speed=cfg.speed, seed=cfg.seed, jitter_us=cfg.jitter_us
-        )
         svc_cfg = self._service_config()
         svc = ReplicatedService(
             self.factory,
@@ -317,7 +248,7 @@ class TraceReplayer:
             if self.chaos is not None
             else None
         )
-        qs = QueryService(svc, on_lag=cfg.on_lag)
+        qs = QueryService(svc)
         write_ms: list[float] = []
         read_ms: list[float] = []
         reads = 0
@@ -329,7 +260,6 @@ class TraceReplayer:
         t_start = time.perf_counter()
         try:
             for ev in self.events:
-                clock.advance_to(ev.t_us)
                 if ev.kind == "write":
                     ops = ops_from_json(ev.body["ops"])
                     t0 = time.perf_counter()
@@ -342,19 +272,13 @@ class TraceReplayer:
                     else:
                         self._submit(svc, ops)
                         if pending_since_us is None:
-                            pending_since_us = clock.now_us
+                            pending_since_us = ev.t_us
                         pending_since_us = self._maybe_flush(
-                            svc, clock, pending_since_us
+                            svc, ev.t_us, pending_since_us
                         )
                         self._tick(svc)
-                    wall_ms = (time.perf_counter() - t0) * 1e3
-                    write_ms.append(wall_ms)
+                    write_ms.append((time.perf_counter() - t0) * 1e3)
                     rounds += 1
-                    if self.controller is not None:
-                        self.controller.observe_round(wall_ms)
-                        lag = svc.lag()
-                        if lag:
-                            self.controller.observe_lag(max(lag.values()))
                 elif ev.kind == "read":
                     if not cfg.preserve_rounds:
                         # A read observes the recorded prefix: force the
@@ -382,18 +306,13 @@ class TraceReplayer:
                     read_ms.append((time.perf_counter() - t0) * 1e3)
                     reads += len(res.answers)
                     read_batches += 1
-                # "control" events carry the *recorded* run's decisions;
-                # a ScriptedController (built from these same events)
-                # re-applies them below, so here they are data, not code.
-                if self.controller is not None:
-                    self.controller.on_event(ev.seq)
                 m.counter("trace.events_replayed").inc()
             if not cfg.preserve_rounds:
                 svc.primary.drain()
             if driver is not None:
                 driver.finish()
             else:
-                self._tick(svc, budget=None)  # final unbounded drain
+                self._tick(svc)  # final drain
             fp = state_fingerprint(svc.primary.structure)
             tip = svc.primary.next_lsn
             deterministic = self._check_wal_oracle(fp, svc_cfg)
@@ -415,7 +334,6 @@ class TraceReplayer:
             reads_per_s=(reads / read_wall_s) if read_wall_s > 0 else 0.0,
             wall_s=wall_s,
             deterministic=deterministic,
-            decisions=tuple(getattr(self.controller, "decisions", ())),
             stats=stats,
         )
 
@@ -434,46 +352,30 @@ class TraceReplayer:
     def _maybe_flush(
         self,
         svc: ReplicatedService,
-        clock: VirtualClock,
+        now_us: int,
         pending_since_us: int | None,
     ) -> int | None:
-        """Re-batching mode's deadline trigger, in *virtual* time.
+        """Re-batching mode's deadline trigger, in *recorded* time.
 
         The live service's deadline flush rides a background thread and
         wall clocks; the replay keeps the same semantics deterministic
-        by flushing when virtual time since the first pending item
-        exceeds the (possibly controller-tuned) flush interval.
+        by flushing when recorded time since the first pending item
+        exceeds the service config's flush interval.
         """
         if pending_since_us is None or svc.primary.queue_depth == 0:
             return None
-        interval = (
-            self.controller.flush_interval
-            if self.controller is not None
-            else self._service_config().flush_interval
-        )
-        if clock.now_us - pending_since_us >= interval * 1e6:
+        interval = self._service_config().flush_interval
+        if now_us - pending_since_us >= interval * 1e6:
             svc.primary.flush()
             return None
         return pending_since_us
 
-    def _tick(
-        self, svc: ReplicatedService, budget: int | None = 0
-    ) -> None:
-        """One replication tick: followers ship up to ``budget`` rounds.
-
-        ``budget=0`` (the per-event default) resolves to the
-        controller's budget, else the config's, else unbounded.
-        """
-        if not svc.followers:
-            return
-        if budget == 0:
-            if self.controller is not None:
-                budget = int(self.controller.budget)
-            else:
-                budget = self.config.replication_budget
+    @staticmethod
+    def _tick(svc: ReplicatedService) -> None:
+        """One replication tick: every live follower catches up fully."""
         for f in svc.followers:
             if f.alive:
-                f.catch_up(budget)
+                f.catch_up()
 
     def _check_wal_oracle(
         self, fp: tuple, svc_cfg: ServiceConfig

@@ -21,6 +21,7 @@ from repro.chaos.faults import FaultyIO
 from repro.replication import ReplicatedService
 from repro.service.query import QueryService
 from repro.service.service import ServiceConfig, StreamService
+from repro.service.wal import ops_from_json, ops_to_json
 from repro.sliding_window import SWConnectivityEager
 from repro.trace import (
     TraceCorruption,
@@ -29,10 +30,7 @@ from repro.trace import (
     TraceWriter,
     decode_event,
     encode_event,
-    ops_from_json,
-    ops_to_json,
     read_trace,
-    trace_summary,
 )
 
 N = 32
@@ -122,9 +120,9 @@ class TestTraceWriter:
         with TraceWriter(path) as w:
             assert w.next_seq == 3
             assert w.meta == {"who": "test"}  # header meta wins on resume
-            w.append(9000, "control", {"knob": "budget", "value": 8})
+            w.append(9000, "read", {"queries": [["components"]]})
         _, events = read_trace(path)
-        assert len(events) == 4 and events[-1].kind == "control"
+        assert len(events) == 4 and events[-1].kind == "read"
 
     def test_timestamps_clamped_monotone(self, tmp_path):
         with TraceWriter(tmp_path / "t.trace.jsonl") as w:
@@ -205,22 +203,8 @@ class TestTraceWriter:
         _, events = read_trace(path)
         assert [e.seq for e in events] == [0, 1]
 
-    def test_trace_summary(self, tmp_path):
-        path = tmp_path / "t.trace.jsonl"
-        with TraceWriter(path, meta={"x": 1}) as w:
-            w.append(0, "write", {"lsn": 0, "ops": [["i", [[0, 1], [1, 2]]]]})
-            w.append(500, "write", {"lsn": 1, "ops": [["e", 1]]})
-            w.append(900, "read", {"queries": [["components"]]})
-        s = trace_summary(path)
-        assert s["events"] == 3
-        assert s["kinds"] == {"write": 2, "read": 1, "control": 0}
-        assert s["items"] == 3  # two inserted edges + one expire op
-        assert s["duration_us"] == 900
-        assert s["meta"] == {"x": 1}
-
-    def test_summary_of_missing_trace_is_zero(self, tmp_path):
-        s = trace_summary(tmp_path / "nope.trace.jsonl")
-        assert s["events"] == 0 and s["meta"] == {}
+    def test_missing_trace_reads_empty(self, tmp_path):
+        assert read_trace(tmp_path / "nope.trace.jsonl") == ({}, [])
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +223,8 @@ class TestTraceRecorder:
         ev = rec.record_read([("components",)], at_least=0)
         assert ev.t_us == 500_000
         assert ev.body == {"queries": [["components"]], "at_least": 0}
-        ev = rec.record_control("budget", 32.0, reason="lag", observed=9.0)
-        assert ev.body["knob"] == "budget" and ev.body["observed"] == 9.0
         rec.close()
-        assert rec.events_recorded == 3
+        assert rec.events_recorded == 2
 
     def test_concurrent_records_keep_seq_dense(self, tmp_path):
         rec = TraceRecorder(tmp_path / "t.trace.jsonl")

@@ -6,16 +6,12 @@ The claims, each pinned here:
   (writes with expirations, grouped batch reads with consistency
   tokens) replays into byte-identical final MSF state *and* identical
   ``(work, span)`` cost charges -- on the production RC-tree engine and
-  the ``RCForest`` reference, and across replay speeds (virtual time is
-  data, not a scheduler).
+  the ``RCForest`` reference, with or without read replicas.
 - **Chaos composition, both directions**: a trace recorded *under* a
   chaos tape (primary kills, follower churn) replays clean against the
   fault-free oracle -- crashed rounds were never durable, retried
   rounds record once -- and a clean trace replayed *while* a chaos tape
   fires still converges to the trace oracle.
-- **Adaptive control reproducibility**: a tuning run's knob decisions,
-  trace-recorded by :class:`AdaptiveController`, replay
-  decision-for-decision through :class:`ScriptedController`.
 """
 
 from __future__ import annotations
@@ -33,14 +29,11 @@ from repro.replication import ReplicatedService
 from repro.service.query import QueryService
 from repro.service.service import ServiceConfig
 from repro.sliding_window import SWConnectivityEager
+from repro.service.wal import ops_from_json
 from repro.trace import (
-    AdaptiveController,
-    ControlConfig,
     ReplayConfig,
-    ScriptedController,
     TraceRecorder,
     TraceReplayer,
-    VirtualClock,
     read_trace,
     state_fingerprint,
     trace_oracle,
@@ -164,7 +157,7 @@ class TestRoundTripProperties:
 
 
 # ----------------------------------------------------------------------
-# Deterministic replay: speeds, charges
+# Deterministic replay: followers, charges
 # ----------------------------------------------------------------------
 
 
@@ -206,8 +199,6 @@ class TestDeterministicReplay:
             config=ServiceConfig(flush_edges=10**9, snapshot_every=0),
         )
         qs = QueryService(svc)
-        from repro.trace.record import ops_from_json
-
         for ev in events:
             if ev.kind == "write":
                 svc.write_ops(ops_from_json(ev.body["ops"]))
@@ -221,13 +212,12 @@ class TestDeterministicReplay:
         assert state_fingerprint(svc.primary.structure) == fp
         svc.close()
 
-    @pytest.mark.parametrize("speed", [0.5, 1.0, 8.0])
-    def test_speed_never_changes_state(self, tmp_path, speed):
+    def test_replay_with_follower_matches_recording(self, tmp_path):
         trace_path, fp, _ = record_workload(tmp_path, sample_rounds())
         res = TraceReplayer(
             trace_path,
-            config=ReplayConfig(speed=speed, followers=1),
-            data_dir=tmp_path / f"rp-{speed}",
+            config=ReplayConfig(followers=1),
+            data_dir=tmp_path / "rp-follower",
         ).run()
         assert res.fingerprint == fp
         assert res.deterministic is True
@@ -253,26 +243,6 @@ class TestDeterministicReplay:
         got = dict(x for x in res.fingerprint if isinstance(x, tuple))
         assert got["window_size"] == want["window_size"]
         assert got["num_components"] == want["num_components"]
-
-    def test_jittered_arrivals_stay_deterministic(self, tmp_path):
-        trace_path, fp, _ = record_workload(tmp_path, sample_rounds())
-        results = [
-            TraceReplayer(
-                trace_path,
-                config=ReplayConfig(seed=99, jitter_us=4000),
-                data_dir=tmp_path / f"rp-jit-{i}",
-            ).run()
-            for i in range(2)
-        ]
-        assert results[0].fingerprint == results[1].fingerprint == fp
-
-    def test_virtual_clock_is_monotone_and_scaled(self):
-        clock = VirtualClock(speed=2.0)
-        assert clock.advance_to(10_000) == 5_000
-        assert clock.advance_to(4_000) == 5_000  # never goes backwards
-        assert clock.now() == 0.005
-        with pytest.raises(ValueError):
-            VirtualClock(speed=0)
 
 
 # ----------------------------------------------------------------------
@@ -353,84 +323,3 @@ class TestChaosComposition:
                 data_dir=tmp_path / "rp",
                 chaos=ChaosSchedule.generate(seed=1, events=2, steps=3),
             )
-
-
-# ----------------------------------------------------------------------
-# Adaptive control: tuned live, replayed scripted
-# ----------------------------------------------------------------------
-
-
-class TestAdaptiveControl:
-    def test_controller_decisions_are_recorded_and_scriptable(self, tmp_path):
-        trace_path, fp, _ = record_workload(tmp_path, sample_rounds(rounds=16))
-        meta, events = read_trace(trace_path)
-
-        side = TraceRecorder(tmp_path / "tuning.trace.jsonl")
-        live = AdaptiveController(
-            ControlConfig(
-                window=3,
-                target_p99_ms=1e-6,  # always over: flush deadline shrinks
-                target_lag_p99=0.5,  # any lag: budget grows
-                min_budget=1,
-            ),
-            flush_interval=0.05,
-            budget=1,
-            recorder=side,
-        )
-        res_live = TraceReplayer(
-            (meta, events),
-            config=ReplayConfig(followers=1, replication_budget=1),
-            data_dir=tmp_path / "rp-live",
-            controller=live,
-        ).run()
-        side.close()
-        assert res_live.fingerprint == fp
-        assert live.decisions  # the loop actually tuned something
-        knobs = {d.knob for d in live.decisions}
-        assert "flush_interval" in knobs
-
-        _, tuning_events = read_trace(side.path)
-        assert [e.kind for e in tuning_events] == ["control"] * len(
-            live.decisions
-        )
-        scripted = ScriptedController(
-            tuning_events, flush_interval=0.05, budget=1
-        )
-        res_scripted = TraceReplayer(
-            (meta, events),
-            config=ReplayConfig(followers=1, replication_budget=1),
-            data_dir=tmp_path / "rp-scripted",
-            controller=scripted,
-        ).run()
-        assert res_scripted.fingerprint == fp
-        assert scripted.decisions == live.decisions
-        assert scripted.flush_interval == live.flush_interval
-        assert scripted.budget == live.budget
-
-    def test_budget_shrinks_when_lag_is_zero(self):
-        c = AdaptiveController(
-            ControlConfig(window=2, target_p99_ms=1e9, min_budget=4),
-            budget=64,
-        )
-        for seq in range(2):
-            c.observe_round(0.01)
-            c.observe_lag(0.0)
-            c.on_event(seq)
-        assert c.budget == 32
-        assert c.decisions[-1].knob == "budget"
-
-    def test_flush_interval_grows_when_comfortable(self):
-        c = AdaptiveController(
-            ControlConfig(window=2, target_p99_ms=100.0),
-            flush_interval=0.01,
-        )
-        for seq in range(2):
-            c.observe_round(0.5)  # far under target
-            c.on_event(seq)
-        assert c.flush_interval == pytest.approx(0.0125)
-
-    def test_no_decision_before_window_fills(self):
-        c = AdaptiveController(ControlConfig(window=8, target_p99_ms=1e-9))
-        c.observe_round(100.0)
-        assert c.on_event(0) == []
-        assert c.decisions == []
